@@ -9,7 +9,6 @@ package channel
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 	"math/rand"
 
 	"repro/internal/dsp"
@@ -29,13 +28,13 @@ type Link struct {
 // delay — the Medium owns those, because noise is per-receiver and delay
 // is per-transmission).
 func (l Link) Apply(s dsp.Signal) dsp.Signal {
-	g := complex(l.Gain, 0) * cmplx.Exp(complex(0, l.Phase))
+	g := complex(l.Gain, 0) * dsp.Cis(l.Phase)
 	if l.FreqOffset == 0 {
 		return s.Scale(g)
 	}
 	out := make(dsp.Signal, len(s))
 	for i, v := range s {
-		rot := cmplx.Exp(complex(0, l.FreqOffset*float64(i)))
+		rot := dsp.Cis(l.FreqOffset * float64(i))
 		out[i] = v * g * rot
 	}
 	return out
@@ -44,6 +43,16 @@ func (l Link) Apply(s dsp.Signal) dsp.Signal {
 // PowerGain returns the link's power attenuation h².
 func (l Link) PowerGain() float64 { return l.Gain * l.Gain }
 
+// FillRotation fills dst[from:] with the carrier-offset rotation e^{iΩn} of
+// offset omega (Ω, rad/sample), entry n being dsp.Cis(omega·n) — the value
+// ReceiveInto computes per sample — and returns dst.
+func FillRotation(dst []complex128, omega float64, from int) []complex128 {
+	for n := from; n < len(dst); n++ {
+		dst[n] = dsp.Cis(omega * float64(n))
+	}
+	return dst
+}
+
 // Transmission is one sender's contribution to a reception: its baseband
 // samples, the link it traverses, and its start delay in samples relative
 // to the reception window.
@@ -51,6 +60,16 @@ type Transmission struct {
 	Signal dsp.Signal
 	Link   Link
 	Delay  int
+	// Rotation, when at least as long as Signal, holds the rotation of the
+	// link's carrier offset magnitude, e^{i|Ω|n}, as FillRotation fills it. A
+	// caller that synthesizes many receptions over one link passes it so
+	// ReceiveInto need not recompute the rotation per sample; the
+	// simulator keeps one table per offset per run. For a negative offset
+	// ReceiveInto applies the conjugate: sine is odd and cosine even, bit
+	// for bit, so a link and its reverse (offsets Ω and −Ω) share a table.
+	// The samples are identical with or without a table. Ignored when
+	// FreqOffset is 0 or the table is shorter than Signal.
+	Rotation []complex128
 }
 
 // Receive superposes any number of concurrent transmissions as seen by one
@@ -80,8 +99,9 @@ func ReceiveLen(tailPad int, txs ...Transmission) int {
 // ReceiveInto is Receive synthesizing the reception into buf's storage
 // (grown when too small): link gain, phase, carrier offset and delay are
 // applied while accumulating, and noise is added in place, so a reused
-// buffer makes a reception allocation free. The sample values are
-// identical to Receive's.
+// buffer makes a reception allocation free. A transmission's Rotation
+// table, when long enough, stands in for computing its carrier rotation
+// per sample. The sample values are identical to Receive's.
 func ReceiveInto(buf dsp.Signal, noise *dsp.NoiseSource, tailPad int, txs ...Transmission) dsp.Signal {
 	n := ReceiveLen(tailPad, txs...)
 	if cap(buf) < n {
@@ -93,17 +113,28 @@ func ReceiveInto(buf dsp.Signal, noise *dsp.NoiseSource, tailPad int, txs ...Tra
 		}
 	}
 	for _, tx := range txs {
-		g := complex(tx.Link.Gain, 0) * cmplx.Exp(complex(0, tx.Link.Phase))
+		g := complex(tx.Link.Gain, 0) * dsp.Cis(tx.Link.Phase)
 		out := buf[tx.Delay:]
-		if tx.Link.FreqOffset == 0 {
+		switch {
+		case tx.Link.FreqOffset == 0:
 			for i, v := range tx.Signal {
 				out[i] += v * g
 			}
-			continue
-		}
-		for i, v := range tx.Signal {
-			rot := cmplx.Exp(complex(0, tx.Link.FreqOffset*float64(i)))
-			out[i] += v * g * rot
+		case len(tx.Rotation) >= len(tx.Signal) && tx.Link.FreqOffset > 0:
+			rot := tx.Rotation[:len(tx.Signal)]
+			for i, v := range tx.Signal {
+				out[i] += v * g * rot[i]
+			}
+		case len(tx.Rotation) >= len(tx.Signal):
+			rot := tx.Rotation[:len(tx.Signal)]
+			for i, v := range tx.Signal {
+				out[i] += v * g * complex(real(rot[i]), -imag(rot[i]))
+			}
+		default:
+			for i, v := range tx.Signal {
+				rot := dsp.Cis(tx.Link.FreqOffset * float64(i))
+				out[i] += v * g * rot
+			}
 		}
 	}
 	if noise != nil {

@@ -226,6 +226,74 @@ func TestReceiveIntoMatchesReceive(t *testing.T) {
 	}
 }
 
+// TestReceiveIntoRotationTableIsByteEqual pins the carrier-offset cache:
+// a reception synthesized with Rotation tables (exact, longer than the
+// signal, or too short and so ignored; conjugated for negative offsets)
+// is byte-equal to one computing every rotation on the fly, and both
+// equal the cmplx.Exp formulation.
+func TestReceiveIntoRotationTableIsByteEqual(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	for trial := 0; trial < 50; trial++ {
+		var plain, cached []Transmission
+		for k := 0; k < 1+rng.Intn(3); k++ {
+			n := 1 + rng.Intn(6000)
+			s := make(dsp.Signal, n)
+			for i := range s {
+				s[i] = dsp.Cis(rng.Float64() * 2 * math.Pi)
+			}
+			link := Link{Gain: rng.Float64(), Phase: rng.Float64() * 7, FreqOffset: (rng.Float64()*2 - 1) * 0.012}
+			if k == 2 {
+				link.FreqOffset = 0
+			}
+			tx := Transmission{Signal: s, Link: link, Delay: rng.Intn(900)}
+			plain = append(plain, tx)
+			tableLen := []int{n, n + rng.Intn(3000), rng.Intn(n)}[rng.Intn(3)]
+			tx.Rotation = FillRotation(make([]complex128, tableLen), math.Abs(link.FreqOffset), 0)
+			cached = append(cached, tx)
+		}
+		seed := rng.Int63()
+		want := ReceiveInto(nil, dsp.NewNoiseSource(1e-3, seed), 64, plain...)
+		got := ReceiveInto(nil, dsp.NewNoiseSource(1e-3, seed), 64, cached...)
+		exp := make(dsp.Signal, len(want))
+		for _, tx := range plain {
+			g := complex(tx.Link.Gain, 0) * cmplx.Exp(complex(0, tx.Link.Phase))
+			for i, v := range tx.Signal {
+				if tx.Link.FreqOffset == 0 {
+					exp[tx.Delay+i] += v * g
+				} else {
+					exp[tx.Delay+i] += v * g * cmplx.Exp(complex(0, tx.Link.FreqOffset*float64(i)))
+				}
+			}
+		}
+		dsp.NewNoiseSource(1e-3, seed).AddInPlace(exp)
+		for i := range want {
+			for _, other := range []complex128{got[i], exp[i]} {
+				if math.Float64bits(real(other)) != math.Float64bits(real(want[i])) ||
+					math.Float64bits(imag(other)) != math.Float64bits(imag(want[i])) {
+					t.Fatalf("trial %d sample %d: %v, want %v", trial, i, other, want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestRotationExtendsInPlace checks that filling a table from an offset
+// leaves the entries before it alone and computes the rest as from zero.
+func TestRotationExtendsInPlace(t *testing.T) {
+	full := FillRotation(make([]complex128, 500), 0.0071, 0)
+	part := FillRotation(make([]complex128, 500), 0.0071, 0)
+	part[0] = 42 // untouched below from
+	FillRotation(part, 0.0071, 1)
+	if part[0] != 42 {
+		t.Fatal("Rotation overwrote entries before from")
+	}
+	for i := 1; i < len(full); i++ {
+		if part[i] != full[i] {
+			t.Fatalf("entry %d: %v != %v", i, part[i], full[i])
+		}
+	}
+}
+
 func TestNoiseReseedMatchesFresh(t *testing.T) {
 	ns := dsp.NewNoiseSource(1e-2, 1)
 	ns.Samples(37) // advance the stream

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	mathbits "math/bits"
 
 	"repro/internal/bits"
 	"repro/internal/dsp"
@@ -30,10 +31,54 @@ func FindPattern(stream, pattern []byte, maxErrors int) int {
 // FindPatternScored is FindPattern returning also the number of mismatched
 // bits at the match (meaningless when the index is -1). The decoder uses
 // the score to choose among competing sub-symbol alignments.
+//
+//anc:hotpath
 func FindPatternScored(stream, pattern []byte, maxErrors int) (int, int) {
 	if len(pattern) == 0 || len(pattern) > len(stream) {
 		return -1, 0
 	}
+	if len(pattern) <= 64 {
+		if i, errs, ok := findPatternWord(stream, pattern, maxErrors); ok {
+			return i, errs
+		}
+	}
+	return findPatternBytes(stream, pattern, maxErrors)
+}
+
+// findPatternWord is FindPatternScored for patterns of up to 64 bits over
+// 0/1 streams: it slides the stream through a uint64 window and counts a
+// position's mismatches with one popcount. ok is false when a byte other
+// than 0 or 1 was seen before the answer was settled; the byte loop then
+// decides, so every input gets the byte loop's answer.
+//
+//anc:hotpath
+func findPatternWord(stream, pattern []byte, maxErrors int) (idx, errs int, ok bool) {
+	n := len(pattern)
+	var pat uint64
+	var seen byte // OR of every byte read: > 1 means a non-0/1 byte
+	for _, p := range pattern {
+		pat = pat<<1 | uint64(p&1)
+		seen |= p
+	}
+	mask := ^uint64(0) >> (64 - n)
+	var win uint64
+	for i, b := range stream {
+		win = (win<<1 | uint64(b&1)) & mask
+		seen |= b
+		if i+1 < n {
+			continue
+		}
+		if e := mathbits.OnesCount64(win ^ pat); e <= maxErrors {
+			return i + 1 - n, e, seen <= 1
+		}
+	}
+	return -1, 0, seen <= 1
+}
+
+// findPatternBytes is the byte-by-byte scan behind FindPatternScored.
+//
+//anc:hotpath
+func findPatternBytes(stream, pattern []byte, maxErrors int) (int, int) {
 	for i := 0; i+len(pattern) <= len(stream); i++ {
 		errs := 0
 		for j, p := range pattern {

@@ -44,6 +44,50 @@ func TestFindPilotNoFalsePositives(t *testing.T) {
 	}
 }
 
+// TestFindPatternScoredMatchesByteLoop holds the word-at-a-time scan to
+// the byte loop: pilots planted at exactly maxErrors and maxErrors+1
+// errors, pattern lengths on both sides of 64 bits, negative and huge
+// tolerances, and streams with bytes other than 0 and 1.
+func TestFindPatternScoredMatchesByteLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	pilot := bits.Pilot(bits.PilotLength)
+	check := func(stream, pattern []byte, maxErrors int) {
+		t.Helper()
+		gotI, gotE := FindPatternScored(stream, pattern, maxErrors)
+		wantI, wantE := -1, 0
+		if len(pattern) > 0 && len(pattern) <= len(stream) {
+			wantI, wantE = findPatternBytes(stream, pattern, maxErrors)
+		}
+		if gotI != wantI || gotI >= 0 && gotE != wantE {
+			t.Fatalf("len(pattern)=%d maxErrors=%d: (%d, %d), byte loop (%d, %d)",
+				len(pattern), maxErrors, gotI, gotE, wantI, wantE)
+		}
+	}
+	for trial := 0; trial < 3000; trial++ {
+		maxErrors := rng.Intn(9)
+		pattern := pilot
+		if trial%3 == 1 {
+			pattern = randomBits(rng, 1+rng.Intn(80))
+		}
+		stream := randomBits(rng, len(pattern)+rng.Intn(400))
+		at := rng.Intn(len(stream) - len(pattern) + 1)
+		planted := copy(stream[at:], pattern)
+		flips := maxErrors + rng.Intn(2) // at the tolerance, or one past it
+		for _, i := range rng.Perm(planted)[:min(flips, planted)] {
+			stream[at+i] ^= 1
+		}
+		if trial%10 == 0 {
+			stream[rng.Intn(len(stream))] = byte(2 + rng.Intn(254))
+		}
+		check(stream, pattern, maxErrors)
+		check(stream, pattern, -1)
+		check(stream, pattern, len(pattern)+1)
+	}
+	check(pilot, pilot, 0)
+	check(append([]byte{2}, pilot...), pilot, 0)
+	check(pilot, append([]byte{3}, pilot[1:]...), 1)
+}
+
 func TestFindPatternDegenerate(t *testing.T) {
 	if got := FindPattern([]byte{1, 0}, nil, 0); got != -1 {
 		t.Errorf("empty pattern matched at %d", got)

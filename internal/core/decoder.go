@@ -238,15 +238,15 @@ func (d *Decoder) PeekHeaders(rx dsp.Signal) (first, last *frame.Header) {
 	if !det.Present {
 		return nil, nil
 	}
-	if h, _, _, err := d.findHead(ws, rx, det.Start, headLimit(det, len(rx))); err == nil {
-		first = &h
+	if hm, err := d.findHead(ws, rx, det.Start, headLimit(det, len(rx))); err == nil {
+		first = &hm.h
 	}
 	rxb := ConjReverseInto(ws.conj, rx)
 	ws.conj = rxb
 	detb := DetectWith(ws, rxb, d.cfg.NoiseFloor, d.cfg.Detector)
 	if detb.Present {
-		if h, _, _, err := d.findHead(ws, rxb, detb.Start, headLimit(detb, len(rxb))); err == nil {
-			last = &h
+		if hm, err := d.findHead(ws, rxb, detb.Start, headLimit(detb, len(rxb))); err == nil {
+			last = &hm.h
 		}
 	}
 	return first, last
@@ -266,58 +266,65 @@ func headLimit(det Detection, n int) int {
 	return lim
 }
 
+// headMatch is what the clean-head search found: the decoded header, the
+// frame's reference sample, and where the frame's bits demodulate from.
+type headMatch struct {
+	h   frame.Header
+	ref int // the frame's reference sample, refined to sample resolution
+	// view is the first sample of the sub-symbol view whose bits matched
+	// the pilot, and k the pilot's bit index in those bits.
+	view, k int
+}
+
+// headMargin is how many symbols past the header end the head search
+// demodulates, so that the MLSE survivor paths merge before the header's
+// last bit in all but noisy receptions.
+const headMargin = 16
+
 // findHead locates the pilot and decodes the header in the clean head of a
 // stream. It searches all sub-symbol sample offsets because the energy
-// detector's start estimate is only window-accurate. It returns the
-// decoded header, the sample index of the frame's reference sample, and
-// the demodulated head bits from the frame start onward. The bits are a
-// view into workspace buffers, valid until the next decode.
-func (d *Decoder) findHead(ws *Workspace, rx dsp.Signal, start, limit int) (frame.Header, int, []byte, error) {
+// detector's start estimate is only window-accurate.
+//
+// Only a stream's first symbols decide the search: the frame begins within
+// one detector window of start, and its pilot and header follow. So each
+// offset is demodulated over a prefix long enough to hold them plus
+// headMargin symbols, and only the prefix's settled bits are trusted: they
+// equal the whole view's first bits (PhyModem.DemodulateSettledInto), so
+// the first pilot match in them, and the header after it, are the whole
+// view's. An offset whose settled bits hold no match, or end before the
+// match's header does, is demodulated over its whole view instead. The
+// search therefore chooses exactly what a search over whole views would.
+// No frame bits are returned: only decodeClean needs them (frameBits).
+func (d *Decoder) findHead(ws *Workspace, rx dsp.Signal, start, limit int) (headMatch, error) {
 	m := d.cfg.Modem
-	sps := m.SamplesPerSymbol()
+	sps, bps := m.SamplesPerSymbol(), m.BitsPerSymbol()
 	if limit > len(rx) {
 		limit = len(rx)
 	}
+	prefix := m.NumSamples((d.cfg.Detector.Window/sps + frame.MirrorBits/bps + headMargin) * bps)
 	// Every sub-symbol offset is scored by pilot bit errors and the best
 	// one wins: a half-symbol misalignment often still demodulates the
-	// pilot, but would skew the phase-difference matcher downstream. All
-	// offsets' views are demodulated as one batch — they share the modem's
-	// internal scratch while each keeps its own bit storage, so scoring
-	// needs no double buffering.
-	views := dsp.GrowSignals(ws.headViews, sps)[:0]
+	// pilot, but would skew the phase-difference matcher downstream.
+	var best headMatch
+	bestErrs := 1 << 30
 	for off := 0; off < sps; off++ {
 		lo := start + off
 		if lo >= limit {
 			break
 		}
-		views = append(views, rx[lo:limit])
-	}
-	ws.headViews = views
-	if len(views) == 0 {
-		return frame.Header{}, 0, nil, ErrNoPilot
-	}
-	// The per-offset bit destinations are equal-stride views into one
-	// retained flat buffer: each slot's capacity is clamped to its stride,
-	// so DemodulateInto writes in place (views[0] is the longest view, so
-	// the stride bounds every slot) and one buffer serves the whole batch.
-	stride := m.NumBits(len(views[0]))
-	flat := dsp.GrowBytes(ws.headFlat, len(views)*stride)
-	ws.headFlat = flat
-	dsts := dsp.GrowByteSlices(ws.headBatch, len(views))
-	for i := range dsts {
-		dsts[i] = flat[i*stride : i*stride : (i+1)*stride]
-	}
-	ws.headBatch = m.DemodulateBatchInto(&ws.modem, dsts, views)
-	type candidate struct {
-		h        frame.Header
-		frameRef int
-		bits     []byte
-		errs     int
-	}
-	best := candidate{errs: 1 << 30}
-	for off, bs := range ws.headBatch {
-		k, errs := FindPatternScored(bs, d.pilot, d.cfg.PilotMaxErrors)
-		if k < 0 || errs >= best.errs {
+		hi := min(lo+prefix, limit)
+		bs, settled := m.DemodulateSettledInto(&ws.modem, ws.headBits, rx[lo:hi])
+		ws.headBits = bs
+		if hi == limit {
+			settled = len(bs) // the prefix is the whole view
+		}
+		k, errs := FindPatternScored(bs[:settled], d.pilot, d.cfg.PilotMaxErrors)
+		if hi < limit && (k < 0 || k+frame.MirrorBits > settled) {
+			bs = m.DemodulateInto(&ws.modem, ws.headBits, rx[lo:limit])
+			ws.headBits = bs
+			k, errs = FindPatternScored(bs, d.pilot, d.cfg.PilotMaxErrors)
+		}
+		if k < 0 || errs >= bestErrs {
 			continue
 		}
 		h, err := frame.DecodeHeader(bs[k+bits.PilotLength:])
@@ -327,37 +334,59 @@ func (d *Decoder) findHead(ws *Workspace, rx dsp.Signal, start, limit int) (fram
 		// k is a bit index; the frame reference sits k/bitsPerSymbol
 		// symbols into the stream (a non-symbol-aligned k is a false
 		// match whose header would have failed above).
-		ref := start + off + k/m.BitsPerSymbol()*sps
-		best = candidate{h: h, frameRef: ref, bits: bs[k:], errs: errs}
+		best = headMatch{h: h, ref: lo + k/bps*sps, view: lo, k: k}
+		bestErrs = errs
 	}
-	for i := range views {
-		views[i] = nil // don't pin the reception past this call
-	}
-	if best.errs == 1<<30 {
-		return frame.Header{}, 0, nil, ErrNoPilot
+	if bestErrs == 1<<30 {
+		return headMatch{}, ErrNoPilot
 	}
 	// Bit-level pilot matching can succeed at half-symbol misalignments
 	// when the SNR is high, so refine the reference at sample resolution:
 	// slide within ±1 symbol and keep the shift whose per-sample phase
 	// differences best correlate with the pilot's known differences.
-	ref := d.refineRef(rx, best.frameRef, limit)
-	if ref != best.frameRef {
-		best.frameRef = ref
-		bs := m.DemodulateInto(&ws.modem, ws.headBits, rx[ref:limit])
-		ws.headBits = bs
-		if len(bs) > 0 {
-			best.bits = bs
-		}
+	best.ref = d.refineRef(ws, rx, best.ref, limit)
+	return best, nil
+}
+
+// frameBits demodulates the frame a head search matched, from its first
+// bit up to limit: the matched view's bits from the pilot on, or, when
+// refineRef moved the reference, the bits demodulated from the refined
+// reference. The bits are a view into workspace buffers, valid until the
+// next decode.
+func (d *Decoder) frameBits(ws *Workspace, rx dsp.Signal, hm headMatch, limit int) []byte {
+	m := d.cfg.Modem
+	if limit > len(rx) {
+		limit = len(rx)
 	}
-	return best.h, best.frameRef, best.bits, nil
+	from, skip := hm.view, hm.k
+	if hm.ref != hm.view+hm.k/m.BitsPerSymbol()*m.SamplesPerSymbol() {
+		// The matched pilot and header start within a symbol of the
+		// refined reference, so this demodulation is never empty.
+		from, skip = hm.ref, 0
+	}
+	bs := m.DemodulateInto(&ws.modem, ws.headBits, rx[from:limit])
+	ws.headBits = bs
+	return bs[skip:]
 }
 
 // refineRef returns the sample shift of ref (within ±1 symbol) that
-// maximizes Σ cos(observed ∆ − expected ∆) over the pilot region.
-func (d *Decoder) refineRef(rx dsp.Signal, ref, limit int) int {
+// maximizes Σ cos(observed ∆ − expected ∆) over the pilot region, skipping
+// shifts whose window would read at or past limit. The shifted windows
+// overlap, so the phase differences under all of them are computed once.
+func (d *Decoder) refineRef(ws *Workspace, rx dsp.Signal, ref, limit int) int {
 	sps := d.cfg.Modem.SamplesPerSymbol()
-	best, _ := dsp.BestSignalCorrelation(rx, d.pilotDiffs, ref-sps+1, ref+sps, limit, ref)
-	return best
+	lo := max(ref-sps+1, 0)
+	// One past the last difference the latest shift reads.
+	hi := min(ref+sps-1+len(d.pilotDiffs), limit-1)
+	if hi <= lo {
+		return ref
+	}
+	diffs := growFloats(&ws.refDiffs, hi-lo)
+	for n := range diffs {
+		diffs[n] = dsp.PhaseDiff(rx[lo+n], rx[lo+n+1])
+	}
+	best, _ := dsp.BestDiffsCorrelation(diffs, d.pilotDiffs, ref-sps+1-lo, ref+sps-lo, ref-lo)
+	return lo + best
 }
 
 // alignWanted locates the wanted frame's reference sample in the
@@ -423,11 +452,12 @@ func (d *Decoder) alignWanted(ws *Workspace, diffs []float64, lo, hi int) (int, 
 // forward orientation before body extraction, exactly as in the
 // interfered backward path.
 func (d *Decoder) decodeClean(ws *Workspace, rx dsp.Signal, det Detection, backward bool) (*Result, error) {
-	h, _, frameBits, err := d.findHead(ws, rx, det.Start, det.End)
+	hm, err := d.findHead(ws, rx, det.Start, det.End)
 	if err != nil {
 		return nil, err
 	}
-	exact := ownedFrame(frameBits, frame.FrameBits(int(h.Len)), d.cfg.Modem.BitsPerSymbol(), backward)
+	h := hm.h
+	exact := ownedFrame(d.frameBits(ws, rx, hm, det.End), frame.FrameBits(int(h.Len)), d.cfg.Modem.BitsPerSymbol(), backward)
 	res := &Result{Detection: det, Clean: true, Backward: backward, HeaderOK: true, WantedBits: exact}
 	res.Packet.Header = h
 	payload, err := frame.UnmarshalBody(h, exact)
@@ -448,10 +478,11 @@ func (d *Decoder) decodeInterfered(ws *Workspace, rx dsp.Signal, det Detection, 
 	w := d.cfg.Detector.Window
 
 	// 1. Clean-head decode: our own pilot and header (§7.2, Fig. 5).
-	hdr, frameRef, _, err := d.findHead(ws, rx, det.Start, headLimit(det, len(rx))+4*sps)
+	head, err := d.findHead(ws, rx, det.Start, headLimit(det, len(rx))+4*sps)
 	if err != nil {
 		return nil, err
 	}
+	hdr, frameRef := head.h, head.ref
 	rec, ok := lookup(hdr.Key())
 	if !ok {
 		return nil, fmt.Errorf("%w: header %v", ErrUnknown, hdr)

@@ -18,6 +18,8 @@ package core
 import (
 	"math"
 	"math/cmplx"
+
+	"repro/internal/dsp"
 )
 
 // PhasePair is one candidate solution (θ[n], φ[n]) for the phases of the
@@ -83,6 +85,6 @@ func conditioning(y complex128, a, b float64) float64 {
 // inverse of SolvePhases, used by tests and diagnostics to confirm a
 // solution actually reproduces the observed sample.
 func Reconstruct(p PhasePair, a, b float64) complex128 {
-	return complex(a, 0)*cmplx.Exp(complex(0, p.Theta)) +
-		complex(b, 0)*cmplx.Exp(complex(0, p.Phi))
+	return complex(a, 0)*dsp.Cis(p.Theta) +
+		complex(b, 0)*dsp.Cis(p.Phi)
 }

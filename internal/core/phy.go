@@ -33,18 +33,22 @@ type PhyModem interface {
 	// storage (grown when too small) and drawing any internal working
 	// buffers from scratch (nil for a private one-shot arena). The
 	// returned bits are identical to Demodulate's; the slice is valid
-	// until the next call reusing dst or scratch. The decoder's clean-head
-	// search calls it once per sub-symbol offset per reception, so this is
-	// the allocation-free path of the hot loop.
+	// until the next call reusing dst or scratch. Clean decodes call it
+	// once per reception on the winning alignment, so this is the
+	// allocation-free path of the hot loop.
 	DemodulateInto(scratch *dsp.Scratch, dst []byte, s dsp.Signal) []byte
+	// DemodulateSettledInto is DemodulateInto also returning how many
+	// leading bits are settled: for every longer signal that starts with
+	// s, DemodulateInto returns the same first settled bits. The
+	// clean-head search demodulates each sub-symbol offset over a short
+	// prefix and trusts only its settled bits.
+	DemodulateSettledInto(scratch *dsp.Scratch, dst []byte, s dsp.Signal) (bits []byte, settled int)
 	// DemodulateBatchInto demodulates a batch of signal views in one
 	// call, writing view i's bits into dsts[i]'s storage (the slot slice
 	// grown to len(sigs), retained slot buffers reused). The views share
 	// scratch's internal working buffers while every dst slot keeps its
-	// own storage, so all results of one batch stay valid simultaneously
-	// — the contract the clean-head sub-symbol search needs to score
-	// every offset after a single demodulation burst. Bit values must be
-	// identical to per-view DemodulateInto calls.
+	// own storage, so all results of one batch stay valid simultaneously.
+	// Bit values must be identical to per-view DemodulateInto calls.
 	DemodulateBatchInto(scratch *dsp.Scratch, dsts [][]byte, sigs []dsp.Signal) [][]byte
 	// PhaseDiffs returns the transmitted per-sample phase differences
 	// for a bit stream: entry m is the phase change from sample m to

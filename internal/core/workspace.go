@@ -41,7 +41,8 @@ type Workspace struct {
 	weights  []float64        // conditioning weights of diffs
 	altDiffs []float64        // ∆φ stream of the swapped-assignment trial
 	altWts   []float64        // weights of the swapped-assignment trial
-	headBits []byte           // clean-head demodulation at the refined reference
+	headBits []byte           // clean-head demodulation (search prefixes, then the frame)
+	refDiffs []float64        // pilot-window phase differences of refineRef
 	alignLog []byte           // per-offset pilot decisions in alignWanted
 	wanted   []byte           // final symbol decisions before the owned copy
 	mag2     []float64        // |y|² scratch of the moment estimator
@@ -52,13 +53,6 @@ type Workspace struct {
 	// carving supports.
 	arena    dsp.Arena
 	batchCap int
-
-	// headViews/headBatch hold the clean-head search's per-sub-symbol
-	// signal views and their batch-demodulated bits; the bit slots are
-	// equal-stride views into the retained headFlat buffer.
-	headViews []dsp.Signal
-	headBatch [][]byte
-	headFlat  []byte
 
 	// oneItem/oneOut let Decoder.Decode run as a DecodeBatch of one
 	// without allocating the batch slices.
@@ -83,6 +77,7 @@ func (ws *Workspace) prepareBatch(n int) {
 	if n <= ws.batchCap {
 		return
 	}
+	n = dsp.GrowCap(ws.batchCap, n)
 	ws.batchCap = n
 	// 2 profile float blocks and 3 bit blocks, each of n elements.
 	ws.arena.Reserve(2*n, 3*n, 0)
@@ -121,7 +116,7 @@ func growFloats(buf *[]float64, n int) []float64 {
 // only when its capacity is too small, and returns it.
 func growSignal(buf *dsp.Signal, n int) dsp.Signal {
 	if cap(*buf) < n {
-		*buf = make(dsp.Signal, n)
+		*buf = make(dsp.Signal, n, dsp.GrowCap(cap(*buf), n))
 	}
 	*buf = (*buf)[:n]
 	return *buf

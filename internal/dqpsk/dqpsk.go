@@ -25,7 +25,6 @@ package dqpsk
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 
 	"repro/internal/dsp"
 )
@@ -110,7 +109,7 @@ func (m *Modem) Modulate(bs []byte) dsp.Signal {
 	phase := 0.0
 	for i := 0; i+1 < len(bs); i += 2 {
 		phase = dsp.WrapPhase(phase + jumps[symbolOf(bs[i], bs[i+1])])
-		v := complex(m.amplitude, 0) * cmplx.Exp(complex(0, phase))
+		v := complex(m.amplitude, 0) * dsp.Cis(phase)
 		for k := 0; k < m.sps; k++ {
 			out = append(out, v)
 		}
@@ -153,6 +152,17 @@ func (m *Modem) DemodulateInto(scratch *dsp.Scratch, dst []byte, s dsp.Signal) [
 		prev = acc
 	}
 	return out
+}
+
+// DemodulateSettledInto is DemodulateInto also reporting how many leading
+// bits are settled. Every symbol is decided on its own inter-symbol phase
+// change, so a longer signal starting with s never changes a bit already
+// decided: all of them are settled.
+//
+//anc:hotpath
+func (m *Modem) DemodulateSettledInto(scratch *dsp.Scratch, dst []byte, s dsp.Signal) ([]byte, int) {
+	out := m.DemodulateInto(scratch, dst, s)
+	return out, len(out)
 }
 
 // DemodulateBatchInto demodulates a batch of signal views in one call,

@@ -66,6 +66,11 @@ func TestIntoVariantsSteadyStateAllocFree(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("DemodulateInto allocates %.1f objects/op after warmup", allocs)
 	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		dst, _ = m.DemodulateSettledInto(nil, dst, sig)
+	}); allocs != 0 {
+		t.Errorf("DemodulateSettledInto allocates %.1f objects/op after warmup", allocs)
+	}
 
 	diffs := m.PhaseDiffsInto(nil, in)
 	if allocs := testing.AllocsPerRun(20, func() {

@@ -21,8 +21,7 @@ func (m *MovingStats) ProfileInto(energy, variance []float64, s Signal) {
 	m.Reset()
 	for i, v := range s {
 		m.Push(v)
-		energy[i] = m.Mean()
-		variance[i] = m.Variance()
+		energy[i], variance[i] = m.meanVariance()
 	}
 }
 
@@ -36,20 +35,6 @@ func CorrelatePhaseDiffs(diffs, expected []float64) float64 {
 	var score float64
 	for k, e := range expected {
 		score += math.Cos(diffs[k] - e)
-	}
-	return score
-}
-
-// CorrelateSignalDiffs returns Σ cos(∆θ[k] − expected[k]) where ∆θ[k] is
-// the observed phase difference from s[k] to s[k+1] — the signal-domain
-// form of CorrelatePhaseDiffs. s must have at least len(expected)+1
-// samples.
-//
-//anc:hotpath
-func CorrelateSignalDiffs(s Signal, expected []float64) float64 {
-	var score float64
-	for k, e := range expected {
-		score += math.Cos(PhaseDiff(s[k], s[k+1]) - e)
 	}
 	return score
 }
@@ -69,26 +54,6 @@ func BestDiffsCorrelation(diffs, expected []float64, lo, hi, fallback int) (int,
 		}
 		if score := CorrelatePhaseDiffs(diffs[o:], expected); score > bestScore {
 			best, bestScore = o, score
-		}
-	}
-	return best, bestScore
-}
-
-// BestSignalCorrelation is BestDiffsCorrelation in the signal domain: it
-// scans candidate start samples [lo, hi) and returns the one maximizing
-// CorrelateSignalDiffs over the expected profile, skipping starts whose
-// window would read at or past limit. Ties keep the earliest start; when
-// no start is valid the fallback is returned with a −Inf score.
-//
-//anc:hotpath
-func BestSignalCorrelation(s Signal, expected []float64, lo, hi, limit, fallback int) (int, float64) {
-	best, bestScore := fallback, math.Inf(-1)
-	for r := lo; r < hi; r++ {
-		if r < 0 || r+len(expected)+1 > limit {
-			continue
-		}
-		if score := CorrelateSignalDiffs(s[r:], expected); score > bestScore {
-			best, bestScore = r, score
 		}
 	}
 	return best, bestScore
@@ -164,22 +129,32 @@ func ViterbiHalfStep(back []byte, dst []byte, ref complex128, g []complex128, st
 	return dst
 }
 
+// ViterbiSettled returns how many leading decisions of a ViterbiHalfStep
+// run over n symbols are settled, i.e. no longer input can change them.
+// back is the back-pointer array that run left behind. The kernel traces
+// both survivor paths back from symbol n−1 until they merge. A longer
+// input repeats the same recursion over these n symbols, so its traceback
+// enters symbol n−1 in state 0 or 1 and follows one of the two survivors
+// from there: every decision before the merge is final.
+//
+//anc:hotpath
+func ViterbiSettled(back []byte, n int) int {
+	a, b := uint8(0), uint8(1)
+	for i := n - 1; i > 0; i-- {
+		a, b = back[2*i+int(a)], back[2*i+int(b)]
+		if a == b {
+			return i
+		}
+	}
+	return 0
+}
+
 // GrowByteSlices returns dst resized to n slots, preserving the retained
 // per-slot buffers so a reusing caller keeps every slot's storage — the
 // slice-of-slices form of GrowBytes the batch demodulators use.
 func GrowByteSlices(dst [][]byte, n int) [][]byte {
 	if cap(dst) < n {
 		grown := make([][]byte, n)
-		copy(grown, dst)
-		return grown
-	}
-	return dst[:n]
-}
-
-// GrowSignals is GrowByteSlices for slices of signal views.
-func GrowSignals(dst []Signal, n int) []Signal {
-	if cap(dst) < n {
-		grown := make([]Signal, n)
 		copy(grown, dst)
 		return grown
 	}

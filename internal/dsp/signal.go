@@ -189,6 +189,14 @@ func PhaseDiff(a, b complex128) float64 {
 	return cmplx.Phase(b * cmplx.Conj(a))
 }
 
+// Cis returns e^{ix} = cos x + i·sin x. It is bit-identical to
+// cmplx.Exp(complex(0, x)), which computes Exp(0)·cos x and Exp(0)·sin x
+// with Exp(0) exactly 1, and skips that exponential.
+func Cis(x float64) complex128 {
+	s, c := math.Sincos(x)
+	return complex(c, s)
+}
+
 // DB converts a linear power ratio to decibels.
 func DB(ratio float64) float64 {
 	return 10 * math.Log10(ratio)

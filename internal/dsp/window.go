@@ -39,7 +39,10 @@ func (m *MovingStats) Push(v complex128) {
 	m.samples[m.head] = e
 	m.sum += e
 	m.sumSq += e * e
-	m.head = (m.head + 1) % m.window
+	m.head++
+	if m.head == m.window {
+		m.head = 0
+	}
 }
 
 // Full reports whether the window has seen at least window samples.
@@ -60,16 +63,23 @@ func (m *MovingStats) Mean() float64 {
 
 // Variance returns the windowed population variance of the energy.
 func (m *MovingStats) Variance() float64 {
+	_, v := m.meanVariance()
+	return v
+}
+
+// meanVariance returns Mean and Variance from one computation of the mean,
+// the pair the profile sweep reads after every sample.
+func (m *MovingStats) meanVariance() (mean, variance float64) {
 	if m.count == 0 {
-		return 0
+		return 0, 0
 	}
 	n := float64(m.count)
-	mean := m.sum / n
+	mean = m.sum / n
 	v := m.sumSq/n - mean*mean
 	if v < 0 { // floating-point cancellation guard
 		v = 0
 	}
-	return v
+	return mean, v
 }
 
 // Reset clears the window.

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 	"math/rand"
 	"strings"
 
@@ -179,7 +178,7 @@ func AblationSubtraction(seed int64) string {
 
 			// Oracle start-of-packet channel estimate — better than any
 			// real head-based estimator could produce.
-			h := cmplx.Exp(complex(0, phase))
+			h := dsp.Cis(phase)
 			subErr += bits.BER(wantedBits, subtractDecode(m, rx, known, h))
 			pairErr += bits.BER(wantedBits, pairDecode(m, rx, m.PhaseDiffs(knownBits), 1, 0.9))
 		}

@@ -9,6 +9,13 @@ import (
 // SentRecord is what a node remembers about a transmission so it can later
 // cancel that transmission out of an interfered signal: the packet, its
 // on-air bits, and the modulated baseband samples.
+//
+// Samples lives only as long as the step that transmits it: the record a
+// node's BuildFrame returns carries them, but the records radio nodes keep
+// in their Sent Packet Buffer hold Packet and Bits only, because
+// cancellation reads nothing but Bits. A record looked up in a node's
+// buffer therefore has nil Samples; transmit from the record BuildFrame
+// returned in the same step.
 type SentRecord struct {
 	Packet  Packet
 	Bits    []byte

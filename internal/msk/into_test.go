@@ -73,6 +73,11 @@ func TestIntoVariantsSteadyStateAllocFree(t *testing.T) {
 		}); allocs != 0 {
 			t.Errorf("sps=%d: DemodulateInto allocates %.1f objects/op after warmup", sps, allocs)
 		}
+		if allocs := testing.AllocsPerRun(20, func() {
+			dst, _ = m.DemodulateSettledInto(&scratch, dst, sig)
+		}); allocs != 0 {
+			t.Errorf("sps=%d: DemodulateSettledInto allocates %.1f objects/op after warmup", sps, allocs)
+		}
 
 		diffs := m.PhaseDiffsInto(nil, in)
 		if allocs := testing.AllocsPerRun(20, func() {

@@ -14,7 +14,6 @@ package msk
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 
 	"repro/internal/dsp"
 )
@@ -97,7 +96,7 @@ func (m *Modem) Modulate(bs []byte) dsp.Signal {
 		}
 		for k := 0; k < m.sps; k++ {
 			phase = dsp.WrapPhase(phase + d)
-			out = append(out, complex(m.amplitude, 0)*cmplx.Exp(complex(0, phase)))
+			out = append(out, complex(m.amplitude, 0)*dsp.Cis(phase))
 		}
 	}
 	return out
@@ -143,25 +142,39 @@ func (m *Modem) Demodulate(s dsp.Signal) []byte {
 //
 //anc:hotpath
 func (m *Modem) DemodulateInto(scratch *dsp.Scratch, dst []byte, s dsp.Signal) []byte {
+	out, _ := m.DemodulateSettledInto(scratch, dst, s)
+	return out
+}
+
+// DemodulateSettledInto is DemodulateInto also reporting how many leading
+// bits are settled: demodulating any longer signal that starts with s
+// yields the same first settled bits. At one sample per symbol every
+// decision is per symbol, so all bits are settled; the oversampled MLSE
+// path settles the bits before its two survivor paths merge (see
+// dsp.ViterbiSettled).
+//
+//anc:hotpath
+func (m *Modem) DemodulateSettledInto(scratch *dsp.Scratch, dst []byte, s dsp.Signal) ([]byte, int) {
 	if scratch == nil {
 		// One-shot arena for scratchless callers; the engine always
 		// supplies a reused workspace scratch.
 		scratch = &dsp.Scratch{} //anclint:coldstart
 	}
-	if m.sps == 1 {
-		n := m.NumBits(len(s))
-		out := dsp.GrowBytes(dst, n)
-		soft := m.softDemodulateInto(scratch.Float64s(n), s)
-		for i, d := range soft {
-			if d >= 0 {
-				out[i] = 1
-			} else {
-				out[i] = 0
-			}
-		}
-		return out
+	if m.sps > 1 {
+		out, back := m.demodulateMLSE(scratch, dst, s)
+		return out, dsp.ViterbiSettled(back, len(out))
 	}
-	return m.demodulateMLSE(scratch, dst, s)
+	n := m.NumBits(len(s))
+	out := dsp.GrowBytes(dst, n)
+	soft := m.softDemodulateInto(scratch.Float64s(n), s)
+	for i, d := range soft {
+		if d >= 0 {
+			out[i] = 1
+		} else {
+			out[i] = 0
+		}
+	}
+	return out, n
 }
 
 // SoftDemodulate returns the per-symbol accumulated phase difference (in
@@ -199,16 +212,17 @@ func (m *Modem) softDemodulateInto(out []float64, s dsp.Signal) []float64 {
 // into a 3-level partial-response signal. A two-state Viterbi detector
 // (state = previous bit) resolves it optimally; the branch metric is the
 // squared wrapped distance between the observed and hypothesized phase
-// difference.
+// difference. It also returns the detector's back-pointers, from which
+// DemodulateSettledInto reads how many decisions are final.
 //
 //anc:hotpath
-func (m *Modem) demodulateMLSE(scratch *dsp.Scratch, dst []byte, s dsp.Signal) []byte {
+func (m *Modem) demodulateMLSE(scratch *dsp.Scratch, dst []byte, s dsp.Signal) ([]byte, []byte) {
 	n := m.NumBits(len(s))
 	if n == 0 {
 		// Empty result, but keep dst's storage: callers stash the return
 		// back into their reuse slot, and a nil here would leak the
 		// retained buffer and re-allocate on the next full-size call.
-		return dst[:0]
+		return dst[:0], nil
 	}
 	// g[i] = sum of symbol i's samples (indices i·S+1 .. (i+1)·S).
 	g := dsp.BoxcarSymbolsInto(scratch.Complex128s(n), s, m.sps)
@@ -220,7 +234,7 @@ func (m *Modem) demodulateMLSE(scratch *dsp.Scratch, dst []byte, s dsp.Signal) [
 	// differences hypothesizing (d_i + d_{i−1})/2.
 	// back[2i+b] is the surviving predecessor state of state b at symbol i.
 	back := scratch.Bytes(2 * n)
-	return dsp.ViterbiHalfStep(back, dsp.GrowBytes(dst, n), s[0], g, steps)
+	return dsp.ViterbiHalfStep(back, dsp.GrowBytes(dst, n), s[0], g, steps), back
 }
 
 // DemodulateBatchInto demodulates a batch of signal views in one call,
@@ -228,9 +242,8 @@ func (m *Modem) demodulateMLSE(scratch *dsp.Scratch, dst []byte, s dsp.Signal) [
 // is grown to len(sigs), retained slot buffers are reused). All views
 // share scratch's internal buffers — sized once for the largest view —
 // while every dst slot keeps its own storage, so the whole batch of
-// results remains valid simultaneously; that is the property the
-// decoder's clean-head sub-symbol search relies on. Bit values are
-// identical to per-view DemodulateInto calls.
+// results remains valid simultaneously. Bit values are identical to
+// per-view DemodulateInto calls.
 //
 //anc:hotpath
 func (m *Modem) DemodulateBatchInto(scratch *dsp.Scratch, dsts [][]byte, sigs []dsp.Signal) [][]byte {

@@ -64,18 +64,22 @@ func (n *Node) NextSeq() uint32 {
 }
 
 // BuildFrame marshals and modulates a packet and stores the sent record
-// in the node's Sent Packet Buffer (§7.3).
+// in the node's Sent Packet Buffer (§7.3). The returned record carries
+// the samples to transmit; the buffer keeps only Packet and Bits (see
+// frame.SentRecord).
 func (n *Node) BuildFrame(pkt frame.Packet) frame.SentRecord {
 	bs := frame.MarshalFor(pkt, n.Modem.BitsPerSymbol())
-	rec := frame.SentRecord{Packet: pkt, Bits: bs, Samples: n.Modem.Modulate(bs)}
-	n.buffer.Put(rec)
-	return rec
+	n.buffer.Put(frame.SentRecord{Packet: pkt, Bits: bs})
+	return frame.SentRecord{Packet: pkt, Bits: bs, Samples: n.Modem.Modulate(bs)}
 }
 
 // Remember stores an externally obtained record (a forwarded packet in
 // the chain, an overheard packet in the "X" topology) so it can later
-// cancel interference.
-func (n *Node) Remember(rec frame.SentRecord) { n.buffer.Put(rec) }
+// cancel interference. Like BuildFrame it stores Packet and Bits only.
+func (n *Node) Remember(rec frame.SentRecord) {
+	rec.Samples = nil
+	n.buffer.Put(rec)
+}
 
 // SetWorkspace points the node's decoder at a caller-owned workspace so
 // many nodes (and runs) share one set of decode buffers. One workspace per

@@ -3,11 +3,13 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
 	"sync"
 
+	"repro/internal/channel"
 	"repro/internal/core"
 	"repro/internal/dsp"
 	"repro/internal/phy"
@@ -49,6 +51,71 @@ type Scratch struct {
 	modemKey modemKey
 	nodes    []*radio.Node
 	nodesKey nodesKey
+
+	// Carrier-offset rotation tables of the current run, one per distinct
+	// offset magnitude |Ω| (a link and its reverse share one; see
+	// channel.Transmission.Rotation). A link's offset is fixed for a run,
+	// so e^{i|Ω|n} is computed once per run instead of once per
+	// reception. newEnv empties the set and sets rotCap, the length of the
+	// run's longest standard reception; the tables' storage is kept for
+	// the next run.
+	rots   []rotationTable
+	nrots  int
+	rotCap int
+	// txs is the reception's transmission list with tables attached.
+	txs []channel.Transmission
+}
+
+// rotationTable is the rotation e^{iωn} of one offset magnitude ω, filled
+// as far as the longest signal sent over it so far.
+type rotationTable struct {
+	omega float64
+	table []complex128
+}
+
+// rotation returns the run's rotation table for carrier offset magnitude
+// omega, extended to at least n entries. A new table reserves rotCap
+// entries up front, so a link carrying both frames and longer relayed
+// collisions does not regrow.
+func (s *Scratch) rotation(omega float64, n int) []complex128 {
+	var r *rotationTable
+	for i := range s.rots[:s.nrots] {
+		if s.rots[i].omega == omega {
+			r = &s.rots[i]
+			break
+		}
+	}
+	if r == nil {
+		if s.nrots == len(s.rots) {
+			s.rots = append(s.rots, rotationTable{})
+		}
+		r = &s.rots[s.nrots]
+		s.nrots++
+		r.omega, r.table = omega, r.table[:0]
+	}
+	if have := len(r.table); have < n {
+		if cap(r.table) < n {
+			grown := make([]complex128, have, max(dsp.GrowCap(cap(r.table), n), s.rotCap))
+			copy(grown, r.table)
+			r.table = grown
+		}
+		r.table = channel.FillRotation(r.table[:n], omega, have)
+	}
+	return r.table
+}
+
+// withRotations returns txs with each carrier-offset transmission's run
+// rotation table attached. It copies into the scratch's own list, so the
+// caller's slice never holds a table that a later run overwrites.
+func (s *Scratch) withRotations(txs []channel.Transmission) []channel.Transmission {
+	s.txs = append(s.txs[:0], txs...)
+	for i := range s.txs {
+		tx := &s.txs[i]
+		if tx.Link.FreqOffset != 0 && tx.Rotation == nil {
+			tx.Rotation = s.rotation(math.Abs(tx.Link.FreqOffset), len(tx.Signal))
+		}
+	}
+	return s.txs
 }
 
 // modemKey identifies a pooled modem instance.
@@ -394,6 +461,13 @@ func WithWorkers(n int) StreamOption {
 	return func(c *streamConfig) { c.workers = n }
 }
 
+// workerScratch holds the Scratches of finished campaign workers, so the
+// next campaign's workers (every ancserve job, a sharded run's shards)
+// start with grown buffers and rotation tables instead of empty ones.
+// Every pooled resource is reseeded, reset or overwritten per run, so a
+// pooled Scratch produces the same rows as a fresh one.
+var workerScratch = sync.Pool{New: func() any { return NewScratch() }}
+
 // campaignWindow bounds the rows in flight — executing, queued, or
 // awaiting in-order emission — of one streaming campaign: enough slack
 // that workers never idle waiting for the emitter, small enough that a
@@ -457,7 +531,8 @@ func (eng *Engine) CampaignStream(sc Scenario, schemes []Scheme, seeds []int64, 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			scratch := NewScratch()
+			scratch := workerScratch.Get().(*Scratch)
+			defer workerScratch.Put(scratch)
 			for idx := range next {
 				res := result{row: Row{Index: idx, Seed: seeds[idx], Metrics: make([]Metrics, len(schemes))}}
 				if cfg.trace {

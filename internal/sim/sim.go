@@ -273,6 +273,10 @@ func newEnv(cfg Config, seed int64, build func(topology.Config, *rand.Rand) *top
 	}
 	L := modem.NumSamples(frame.FrameBits(cfg.PayloadBytes))
 	window := 4 * cfg.SamplesPerSymbol * 8
+	tailPad := 4 * window
+	// The run's links have new carrier offsets. Its longest standard
+	// reception is a collision at the largest delay, tail pad included.
+	scratch.nrots, scratch.rotCap = 0, cfg.Delay.MaxDelay()+L+tailPad
 	e := scratch.envShell()
 	*e = Env{
 		cfg:        cfg,
@@ -284,7 +288,7 @@ func newEnv(cfg Config, seed int64, build func(topology.Config, *rand.Rand) *top
 		noiseFloor: floor,
 		frameLen:   L,
 		guard:      mac.Guard(*cfg.GuardFrac, L),
-		tailPad:    4 * window,
+		tailPad:    tailPad,
 		scratch:    scratch,
 		noiseSrc:   scratch.noiseSourceFor(floor),
 	}
@@ -312,7 +316,10 @@ func (e *Env) payload() []byte {
 // noise. Release the returned signal once it has been decoded.
 func (e *Env) receive(txs ...channel.Transmission) dsp.Signal {
 	buf := e.scratch.take(channel.ReceiveLen(e.tailPad, txs...))
-	return channel.ReceiveInto(buf, e.noise(), e.tailPad, txs...)
+	txs = e.scratch.withRotations(txs)
+	rx := channel.ReceiveInto(buf, e.noise(), e.tailPad, txs...)
+	clear(txs) // don't pin the signals past this reception
+	return rx
 }
 
 // release returns a reception buffer to the scratch pool. The decoder
