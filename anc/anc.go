@@ -64,6 +64,16 @@ type PhyModem = core.PhyModem
 // and keep the *Into ownership rules: results go into the caller's dst
 // storage, internal working buffers come only from the caller's
 // scratch, so steady-state decodes allocate nothing.
+//
+// DemodulateSettledInto must not overstate how many bits are settled:
+// for every longer signal that starts with s, the first settled bits
+// must come out the same. The clean-head search trusts those bits
+// without checking them, so an overstated count can make it pick a
+// different alignment than a whole-signal search. Reporting 0 is always
+// correct, only slower (the search then demodulates the whole view).
+// Modems registered in this repository are checked by
+// phy.TestDemodulateSettledPrefixProperty, which runs over every
+// registry entry.
 type Modem = phy.Modem
 
 // RegisterModem adds a modem factory to the PHY registry under a

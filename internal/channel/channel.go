@@ -61,14 +61,12 @@ type Transmission struct {
 	Link   Link
 	Delay  int
 	// Rotation, when at least as long as Signal, holds the rotation of the
-	// link's carrier offset magnitude, e^{i|Ω|n}, as FillRotation fills it. A
-	// caller that synthesizes many receptions over one link passes it so
-	// ReceiveInto need not recompute the rotation per sample; the
-	// simulator keeps one table per offset per run. For a negative offset
-	// ReceiveInto applies the conjugate: sine is odd and cosine even, bit
-	// for bit, so a link and its reverse (offsets Ω and −Ω) share a table.
-	// The samples are identical with or without a table. Ignored when
-	// FreqOffset is 0 or the table is shorter than Signal.
+	// link's carrier offset Ω, e^{iΩn}, as FillRotation(table, Ω, 0) fills
+	// it. A caller that synthesizes many receptions over one link passes it
+	// so ReceiveInto need not recompute the rotation per sample; the
+	// simulator keeps one table per offset per run. The samples are
+	// identical with or without a table. Ignored when FreqOffset is 0 or
+	// the table is shorter than Signal.
 	Rotation []complex128
 }
 
@@ -120,15 +118,10 @@ func ReceiveInto(buf dsp.Signal, noise *dsp.NoiseSource, tailPad int, txs ...Tra
 			for i, v := range tx.Signal {
 				out[i] += v * g
 			}
-		case len(tx.Rotation) >= len(tx.Signal) && tx.Link.FreqOffset > 0:
-			rot := tx.Rotation[:len(tx.Signal)]
-			for i, v := range tx.Signal {
-				out[i] += v * g * rot[i]
-			}
 		case len(tx.Rotation) >= len(tx.Signal):
 			rot := tx.Rotation[:len(tx.Signal)]
 			for i, v := range tx.Signal {
-				out[i] += v * g * complex(real(rot[i]), -imag(rot[i]))
+				out[i] += v * g * rot[i]
 			}
 		default:
 			for i, v := range tx.Signal {

@@ -228,9 +228,9 @@ func TestReceiveIntoMatchesReceive(t *testing.T) {
 
 // TestReceiveIntoRotationTableIsByteEqual pins the carrier-offset cache:
 // a reception synthesized with Rotation tables (exact, longer than the
-// signal, or too short and so ignored; conjugated for negative offsets)
-// is byte-equal to one computing every rotation on the fly, and both
-// equal the cmplx.Exp formulation.
+// signal, or too short and so ignored; positive and negative offsets) is
+// byte-equal to one computing every rotation on the fly, and both equal
+// the cmplx.Exp formulation.
 func TestReceiveIntoRotationTableIsByteEqual(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for trial := 0; trial < 50; trial++ {
@@ -248,7 +248,7 @@ func TestReceiveIntoRotationTableIsByteEqual(t *testing.T) {
 			tx := Transmission{Signal: s, Link: link, Delay: rng.Intn(900)}
 			plain = append(plain, tx)
 			tableLen := []int{n, n + rng.Intn(3000), rng.Intn(n)}[rng.Intn(3)]
-			tx.Rotation = FillRotation(make([]complex128, tableLen), math.Abs(link.FreqOffset), 0)
+			tx.Rotation = FillRotation(make([]complex128, tableLen), link.FreqOffset, 0)
 			cached = append(cached, tx)
 		}
 		seed := rng.Int63()

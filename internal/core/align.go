@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	mathbits "math/bits"
 
@@ -28,69 +29,43 @@ func FindPattern(stream, pattern []byte, maxErrors int) int {
 	return idx
 }
 
+// MaxPatternBits is the longest pattern FindPattern accepts: the scan holds
+// the pattern in one machine word. The pilot is bits.PilotLength = 64 bits.
+const MaxPatternBits = 64
+
+var errLongPattern = errors.New("core: FindPattern pattern longer than MaxPatternBits")
+
 // FindPatternScored is FindPattern returning also the number of mismatched
 // bits at the match (meaningless when the index is -1). The decoder uses
 // the score to choose among competing sub-symbol alignments.
 //
-//anc:hotpath
-func FindPatternScored(stream, pattern []byte, maxErrors int) (int, int) {
-	if len(pattern) == 0 || len(pattern) > len(stream) {
-		return -1, 0
-	}
-	if len(pattern) <= 64 {
-		if i, errs, ok := findPatternWord(stream, pattern, maxErrors); ok {
-			return i, errs
-		}
-	}
-	return findPatternBytes(stream, pattern, maxErrors)
-}
-
-// findPatternWord is FindPatternScored for patterns of up to 64 bits over
-// 0/1 streams: it slides the stream through a uint64 window and counts a
-// position's mismatches with one popcount. ok is false when a byte other
-// than 0 or 1 was seen before the answer was settled; the byte loop then
-// decides, so every input gets the byte loop's answer.
+// stream and pattern hold one bit per byte, as the demodulators emit them;
+// a byte is read by its low bit. The scan slides the stream through a
+// uint64 window and counts a position's mismatches with one popcount. It
+// panics when the pattern is longer than MaxPatternBits.
 //
 //anc:hotpath
-func findPatternWord(stream, pattern []byte, maxErrors int) (idx, errs int, ok bool) {
+func FindPatternScored(stream, pattern []byte, maxErrors int) (int, int) {
 	n := len(pattern)
+	if n > MaxPatternBits {
+		panic(errLongPattern)
+	}
+	if n == 0 || n > len(stream) {
+		return -1, 0
+	}
 	var pat uint64
-	var seen byte // OR of every byte read: > 1 means a non-0/1 byte
 	for _, p := range pattern {
 		pat = pat<<1 | uint64(p&1)
-		seen |= p
 	}
 	mask := ^uint64(0) >> (64 - n)
 	var win uint64
 	for i, b := range stream {
 		win = (win<<1 | uint64(b&1)) & mask
-		seen |= b
 		if i+1 < n {
 			continue
 		}
 		if e := mathbits.OnesCount64(win ^ pat); e <= maxErrors {
-			return i + 1 - n, e, seen <= 1
-		}
-	}
-	return -1, 0, seen <= 1
-}
-
-// findPatternBytes is the byte-by-byte scan behind FindPatternScored.
-//
-//anc:hotpath
-func findPatternBytes(stream, pattern []byte, maxErrors int) (int, int) {
-	for i := 0; i+len(pattern) <= len(stream); i++ {
-		errs := 0
-		for j, p := range pattern {
-			if stream[i+j] != p {
-				errs++
-				if errs > maxErrors {
-					break
-				}
-			}
-		}
-		if errs <= maxErrors {
-			return i, errs
+			return i + 1 - n, e
 		}
 	}
 	return -1, 0

@@ -77,7 +77,6 @@ func (ws *Workspace) prepareBatch(n int) {
 	if n <= ws.batchCap {
 		return
 	}
-	n = dsp.GrowCap(ws.batchCap, n)
 	ws.batchCap = n
 	// 2 profile float blocks and 3 bit blocks, each of n elements.
 	ws.arena.Reserve(2*n, 3*n, 0)
@@ -116,7 +115,7 @@ func growFloats(buf *[]float64, n int) []float64 {
 // only when its capacity is too small, and returns it.
 func growSignal(buf *dsp.Signal, n int) dsp.Signal {
 	if cap(*buf) < n {
-		*buf = make(dsp.Signal, n, dsp.GrowCap(cap(*buf), n))
+		*buf = make(dsp.Signal, n)
 	}
 	*buf = (*buf)[:n]
 	return *buf

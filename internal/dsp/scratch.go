@@ -44,12 +44,10 @@ func (s *Scratch) Float64s(n int) []float64 {
 
 // GrowBytes returns dst resized to n bytes (contents undefined),
 // reallocating only when its capacity is too small — the caller-owned-dst
-// half of the Into-variant buffer contract the modems share. A first
-// allocation (empty dst) is exact; regrowing a reused buffer adds
-// headroom (see GrowCap).
+// half of the Into-variant buffer contract the modems share.
 func GrowBytes(dst []byte, n int) []byte {
 	if cap(dst) < n {
-		return make([]byte, n, GrowCap(cap(dst), n))
+		return make([]byte, n)
 	}
 	return dst[:n]
 }
@@ -57,20 +55,7 @@ func GrowBytes(dst []byte, n int) []byte {
 // GrowFloats is GrowBytes for float64 buffers.
 func GrowFloats(dst []float64, n int) []float64 {
 	if cap(dst) < n {
-		return make([]float64, n, GrowCap(cap(dst), n))
+		return make([]float64, n)
 	}
 	return dst[:n]
-}
-
-// GrowCap returns the capacity a reused buffer of capacity old should be
-// reallocated with to hold n > old elements. Reception lengths creep
-// upward with the random delay draw, so a buffer that had to grow once
-// will likely grow again: regrowth reserves a quarter more than the old
-// capacity, the way append amortizes. A first allocation (old = 0) is
-// exact, so one-shot callers pay nothing extra.
-func GrowCap(old, n int) int {
-	if old == 0 {
-		return n
-	}
-	return max(n, old+old/4)
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -53,12 +52,11 @@ type Scratch struct {
 	nodesKey nodesKey
 
 	// Carrier-offset rotation tables of the current run, one per distinct
-	// offset magnitude |Ω| (a link and its reverse share one; see
-	// channel.Transmission.Rotation). A link's offset is fixed for a run,
-	// so e^{i|Ω|n} is computed once per run instead of once per
-	// reception. newEnv empties the set and sets rotCap, the length of the
-	// run's longest standard reception; the tables' storage is kept for
-	// the next run.
+	// offset Ω (see channel.Transmission.Rotation). A link's offset is
+	// fixed for a run, so e^{iΩn} is computed once per run instead of once
+	// per reception. newEnv empties the set and sets rotCap, the length of
+	// the run's longest standard reception; the tables' storage is kept
+	// for the next run.
 	rots   []rotationTable
 	nrots  int
 	rotCap int
@@ -66,17 +64,17 @@ type Scratch struct {
 	txs []channel.Transmission
 }
 
-// rotationTable is the rotation e^{iωn} of one offset magnitude ω, filled
-// as far as the longest signal sent over it so far.
+// rotationTable is the rotation e^{iωn} of one offset ω, filled as far as
+// the longest signal sent over it so far.
 type rotationTable struct {
 	omega float64
 	table []complex128
 }
 
-// rotation returns the run's rotation table for carrier offset magnitude
-// omega, extended to at least n entries. A new table reserves rotCap
-// entries up front, so a link carrying both frames and longer relayed
-// collisions does not regrow.
+// rotation returns the run's rotation table for carrier offset omega,
+// extended to at least n entries. A table too short for n is reallocated
+// with room for rotCap entries, so a link carrying both frames and longer
+// relayed collisions does not regrow.
 func (s *Scratch) rotation(omega float64, n int) []complex128 {
 	var r *rotationTable
 	for i := range s.rots[:s.nrots] {
@@ -95,7 +93,7 @@ func (s *Scratch) rotation(omega float64, n int) []complex128 {
 	}
 	if have := len(r.table); have < n {
 		if cap(r.table) < n {
-			grown := make([]complex128, have, max(dsp.GrowCap(cap(r.table), n), s.rotCap))
+			grown := make([]complex128, have, max(n, s.rotCap))
 			copy(grown, r.table)
 			r.table = grown
 		}
@@ -112,7 +110,7 @@ func (s *Scratch) withRotations(txs []channel.Transmission) []channel.Transmissi
 	for i := range s.txs {
 		tx := &s.txs[i]
 		if tx.Link.FreqOffset != 0 && tx.Rotation == nil {
-			tx.Rotation = s.rotation(math.Abs(tx.Link.FreqOffset), len(tx.Signal))
+			tx.Rotation = s.rotation(tx.Link.FreqOffset, len(tx.Signal))
 		}
 	}
 	return s.txs
