@@ -23,8 +23,9 @@
 //   - Channels: [Link], [Receive] and [AmplifyForward] synthesize
 //     receptions at sample level (the library's substitute for a radio
 //     front end).
-//   - Experiments: the Run* functions and [Fig7] … [Fig13] regenerate the
-//     paper's evaluation.
+//   - Experiments: [Engine] runs any registered [Scenario] (the paper's
+//     topologies, the §7.5 "closed-loop" router and the extras), and
+//     [Fig7] … [Fig13] regenerate the paper's evaluation.
 //
 // See examples/quickstart for a three-minute tour.
 package anc
@@ -39,7 +40,6 @@ import (
 	"repro/internal/dsp"
 	"repro/internal/experiments"
 	"repro/internal/frame"
-	"repro/internal/mesh"
 	"repro/internal/msk"
 	"repro/internal/phy"
 	"repro/internal/radio"
@@ -323,19 +323,6 @@ type Metrics = sim.Metrics
 // (4 samples/symbol, 128-byte payloads, 25 dB SNR, ≈80% mean overlap).
 func DefaultSimConfig() SimConfig { return sim.DefaultConfig() }
 
-// The evaluation runners (§11). Each simulates one run of its schedule at
-// complex-baseband sample level and returns throughput/BER metrics.
-var (
-	RunAliceBobANC         = sim.RunAliceBobANC
-	RunAliceBobTraditional = sim.RunAliceBobTraditional
-	RunAliceBobCOPE        = sim.RunAliceBobCOPE
-	RunChainANC            = sim.RunChainANC
-	RunChainTraditional    = sim.RunChainTraditional
-	RunXANC                = sim.RunXANC
-	RunXTraditional        = sim.RunXTraditional
-	RunXCOPE               = sim.RunXCOPE
-)
-
 // Scenario is one simulated workload plugged into the scenario engine: a
 // topology plus the per-slot schedule of every scheme it supports. The
 // paper's three evaluation topologies and the engine-unlocked extras ship
@@ -530,18 +517,3 @@ var (
 func NewTopology(n int, names []string, cfg TopologyConfig, rng *rand.Rand) *Topology {
 	return topology.New(n, names, cfg, rng)
 }
-
-// MeshConfig parameterizes a closed-loop trigger-protocol session.
-type MeshConfig = mesh.Config
-
-// MeshStats summarizes a closed-loop session.
-type MeshStats = mesh.Stats
-
-// MeshSession is the Alice–Bob network run by its own protocol machinery:
-// the §7.6 trigger schedules the simultaneous transmissions and the §7.5
-// router decision procedure chooses between amplify-and-forward,
-// decode-and-forward, and drop — no experiment-side orchestration.
-type MeshSession = mesh.Session
-
-// NewMeshSession builds a closed-loop session.
-func NewMeshSession(cfg MeshConfig) *MeshSession { return mesh.NewSession(cfg) }

@@ -116,8 +116,16 @@ func TestPublicCapacitySweep(t *testing.T) {
 
 func TestPublicSimRunners(t *testing.T) {
 	cfg := anc.SimConfig{Packets: 4}
-	a := anc.RunAliceBobANC(cfg, 1)
-	tr := anc.RunAliceBobTraditional(cfg, 1)
+	eng := anc.NewEngine(cfg)
+	sc, _ := anc.LookupScenario("alice-bob")
+	a, err := eng.Run(sc, anc.SchemeANC, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := eng.Run(sc, anc.SchemeRouting, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a.Throughput() <= tr.Throughput() {
 		t.Errorf("ANC %.5f not above routing %.5f", a.Throughput(), tr.Throughput())
 	}

@@ -26,7 +26,6 @@ import (
 	"repro/internal/dsp"
 	"repro/internal/experiments"
 	"repro/internal/frame"
-	"repro/internal/mesh"
 	"repro/internal/msk"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -84,8 +83,8 @@ func figureIteration(eng *sim.Engine, scratch *sim.Scratch, sc sim.Scenario, see
 }
 
 func engineRun(eng *sim.Engine, scratch *sim.Scratch, sc sim.Scenario, scheme sim.Scheme, seed int64) sim.Metrics {
-	m, err := eng.RunReusing(sc, scheme, seed, scratch)
-	if err != nil {
+	var m sim.Metrics
+	if err := eng.RunRecording(sc, scheme, seed, &m, scratch); err != nil {
 		panic(err)
 	}
 	return m
@@ -230,7 +229,7 @@ func BenchmarkFig13BERvsSIR(b *testing.B) {
 func BenchmarkSummaryTable(b *testing.B) {
 	cfg := benchSim()
 	for i := 0; i < b.N; i++ {
-		_ = sim.RunAliceBobANC(cfg, int64(6000+i))
+		_ = engineRun(sim.NewEngine(cfg), nil, sim.AliceBob(), sim.SchemeANC, int64(6000+i))
 	}
 	opts := benchOpts(b)
 	printSummary.Do(func() { fmt.Print(experiments.Summary(opts)) })
@@ -247,7 +246,7 @@ func BenchmarkAblationMatcher(b *testing.B) {
 	}
 	literal := stats.NewSample(nil)
 	for i := 0; i < b.N; i++ {
-		literal.Add(sim.RunAliceBobANC(cfg, int64(7000+i)).MeanBER())
+		literal.Add(engineRun(sim.NewEngine(cfg), nil, sim.AliceBob(), sim.SchemeANC, int64(7000+i)).MeanBER())
 	}
 	b.ReportMetric(literal.Mean(), "BER-paper-literal")
 	printAblMat.Do(func() { fmt.Print(experiments.AblationMatcher(benchOpts(b))) })
@@ -274,7 +273,7 @@ func BenchmarkAblationEstimator(b *testing.B) {
 func BenchmarkAblationOverlap(b *testing.B) {
 	cfg := benchSim()
 	for i := 0; i < b.N; i++ {
-		_ = sim.RunAliceBobANC(cfg, int64(9500+i))
+		_ = engineRun(sim.NewEngine(cfg), nil, sim.AliceBob(), sim.SchemeANC, int64(9500+i))
 	}
 	printAblOvl.Do(func() {
 		fmt.Print(experiments.AblationOverlap(experiments.Options{Runs: 3, Sim: sim.Config{Packets: 6}, Seed: 5}))
@@ -582,23 +581,14 @@ func berOf(sent, got []byte) float64 {
 	return float64(errs) / float64(len(sent))
 }
 
-// BenchmarkClosedLoop runs one full trigger-protocol cycle pair per
-// iteration — the §7.5/§7.6 machinery operating end to end.
+// BenchmarkClosedLoop runs two closed-loop ANC trigger rounds per
+// iteration on a fresh engine — the §7.5 router decision and the §7.6
+// triggers operating end to end.
 func BenchmarkClosedLoop(b *testing.B) {
+	sc := sim.MustScenario("closed-loop")
 	for i := 0; i < b.N; i++ {
-		s := mesh.NewSession(mesh.Config{Cycles: 2, Seed: int64(13 + i)})
-		rng := rand.New(rand.NewSource(int64(i)))
-		pay := func() [][]byte {
-			out := make([][]byte, 2)
-			for j := range out {
-				out[j] = make([]byte, 96)
-				rng.Read(out[j])
-			}
-			return out
-		}
-		s.Enqueue(pay(), pay())
-		st := s.Run()
-		if st.Delivered == 0 {
+		m := engineRun(sim.NewEngine(sim.Config{Packets: 2}), nil, sc, sim.SchemeANC, int64(13+i))
+		if m.Delivered == 0 {
 			b.Fatal("closed loop delivered nothing")
 		}
 	}

@@ -1,5 +1,5 @@
 // Command ancserve is the simulation-as-a-service daemon: it exposes
-// the campaign engine over HTTP and WebSocket, running each distinct
+// the campaign engine over HTTP, running each distinct
 // campaign once on a bounded job queue and fanning the NDJSON stream
 // out to every subscriber that asked for it (see internal/serve).
 //
@@ -19,7 +19,6 @@
 //	DELETE /v1/campaigns/{hash}       cancel a job
 //	GET  /v1/campaigns/{hash}/stream  subscribe (replay + live tail)
 //	POST /v1/stream                   submit and stream in one request
-//	GET  /v1/ws                       WebSocket: send a request, receive lines
 //
 // A served stream is byte-for-byte the output of
 // `ancsim -scenario <name> -format ndjson` for the same parameters.

@@ -38,7 +38,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  %-10s ANC/routing throughput gain: %.2fx  (mean ANC BER %.4f)\n",
+		fmt.Printf("  %-11s ANC/routing throughput gain: %.2fx  (mean ANC BER %.4f)\n",
 			sc.Name(), a.Throughput()/r.Throughput(), a.MeanBER())
 	}
 

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/channel"
 	"repro/internal/sim"
 )
 
@@ -157,4 +158,19 @@ func TestGoldenDQPSKDimension(t *testing.T) {
 		}
 		compareGolden(t, name+".dqpsk.golden", gainSeries(res))
 	}
+}
+
+// TestGoldenClosedLoop pins the closed-loop scenario under Rayleigh
+// fading. Deep fades make the router drop a collision in one of the
+// golden runs, so the file pins both the forward and the drop path; on
+// the static default channel the router forwards every round and the
+// file would only repeat fig9.golden.
+func TestGoldenClosedLoop(t *testing.T) {
+	opts := goldenOpts()
+	opts.Sim.Topology.Fading = channel.FadingSpec{Kind: channel.FadingRayleigh}
+	res, err := ScenarioCampaign(opts, "closed-loop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareGolden(t, "closed-loop.rayleigh.golden", gainSeries(res))
 }

@@ -9,7 +9,7 @@ import (
 
 // Streamer is one resolved campaign exposed line by line: the seam the
 // ancserve daemon (internal/serve) shares with the CLI writers, so a
-// campaign served over HTTP/WebSocket is byte-for-byte the stream
+// campaign served over HTTP is byte-for-byte the stream
 // `ancsim -format ndjson` writes for the same request. Each line is a
 // marshaled CampaignRow, then exactly one trailing summary record (the
 // shard wire format of WriteCampaignNDJSON); the Streamer never frames

@@ -1,8 +1,8 @@
-// Package serve is the simulation-as-a-service layer: an HTTP +
-// WebSocket daemon (cmd/ancserve) that accepts campaign requests,
-// runs them on a bounded job queue backed by the same streaming
-// engine the CLI uses, and fans each campaign's NDJSON stream out to
-// any number of concurrent subscribers.
+// Package serve is the simulation-as-a-service layer: an HTTP daemon
+// (cmd/ancserve) that accepts campaign requests, runs them on a bounded
+// job queue backed by the same streaming engine the CLI uses, and fans
+// each campaign's NDJSON stream out to any number of concurrent
+// subscribers.
 //
 // The load-bearing property is byte identity: a campaign served over
 // the wire is streamed through experiments.Streamer — the exact seam

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -272,16 +271,15 @@ func TestSlowSubscriberEvicted(t *testing.T) {
 	}
 	wantLines := j.Campaign.Rows + 1
 
-	// The blocked subscriber: a WebSocket over a synchronous in-memory
-	// pipe whose peer never reads — every write blocks until the
-	// deadline, the deterministic worst case of a stalled TCP window.
+	// The blocked subscriber: a synchronous in-memory pipe whose peer
+	// never reads — every write blocks until the deadline, the
+	// deterministic worst case of a stalled TCP window.
 	server, client := net.Pipe()
 	defer client.Close()
 	defer server.Close()
-	ws := &wsConn{conn: server, rw: bufio.NewReadWriter(bufio.NewReader(server), bufio.NewWriter(server))}
 	evicted := make(chan error, 1)
 	go func() {
-		evicted <- s.pump(context.Background(), j.Subscribe(), ws)
+		evicted <- s.pump(context.Background(), j.Subscribe(), pipeWriter{server})
 	}()
 
 	healthy := &collectLines{}
@@ -303,6 +301,22 @@ func TestSlowSubscriberEvicted(t *testing.T) {
 	if got := s.metrics.ActiveSessions.Load(); got != 0 {
 		t.Errorf("active sessions = %d after both detached, want 0", got)
 	}
+}
+
+// pipeWriter frames lines onto a connection the way ndjsonWriter frames
+// them onto an HTTP response: write deadline first, then the line and
+// its newline.
+type pipeWriter struct{ conn net.Conn }
+
+func (p pipeWriter) WriteLine(deadline time.Time, line []byte) error {
+	if err := p.conn.SetWriteDeadline(deadline); err != nil {
+		return err
+	}
+	if _, err := p.conn.Write(line); err != nil {
+		return err
+	}
+	_, err := p.conn.Write([]byte{'\n'})
+	return err
 }
 
 type collectLines struct {

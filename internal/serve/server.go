@@ -60,7 +60,7 @@ var (
 // Server is the campaign daemon: a bounded job queue executing each
 // distinct campaign once, a content-addressed cache fanning the stream
 // out to every subscriber asking for the same canonical hash, and the
-// HTTP/WebSocket surface over both. It implements http.Handler.
+// HTTP surface over both. It implements http.Handler.
 type Server struct {
 	cfg     Config
 	metrics Metrics
@@ -272,7 +272,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("DELETE /v1/campaigns/{hash}", s.handleCancel)
 	s.mux.HandleFunc("GET /v1/campaigns/{hash}/stream", s.handleStream)
 	s.mux.HandleFunc("POST /v1/stream", s.handleSubmitStream)
-	s.mux.HandleFunc("GET /v1/ws", s.handleWS)
 }
 
 // jsonError writes a JSON error body with the given status.
@@ -453,46 +452,4 @@ func (s *Server) streamNDJSON(w http.ResponseWriter, r *http.Request, j *Job) {
 	// just ends early, which NDJSON consumers detect by the missing
 	// trailing summary record.
 	s.pump(r.Context(), sub, &ndjsonWriter{w: w, rc: http.NewResponseController(w)})
-}
-
-func (s *Server) handleWS(w http.ResponseWriter, r *http.Request) {
-	c, err := wsUpgrade(w, r)
-	if err != nil {
-		jsonError(w, http.StatusBadRequest, err)
-		return
-	}
-	defer c.Close()
-	payload, err := c.readText(time.Now().Add(30 * time.Second))
-	if err != nil {
-		return
-	}
-	var req Request
-	if err := json.Unmarshal(payload, &req); err != nil {
-		c.writeClose(time.Now().Add(s.cfg.WriteTimeout), 1008, fmt.Sprintf("bad request: %v", err))
-		return
-	}
-	j, _, err := s.Submit(req)
-	if err != nil {
-		c.writeClose(time.Now().Add(s.cfg.WriteTimeout), 1008, err.Error())
-		return
-	}
-	// The connection is hijacked, so the request context no longer
-	// tracks the peer; a read pump detects the client going away (close
-	// frame or error) and answers pings meanwhile.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		defer cancel()
-		for {
-			if _, err := c.readText(time.Time{}); err != nil {
-				return
-			}
-		}
-	}()
-	sub := j.Subscribe()
-	if err := s.pump(ctx, sub, c); err != nil {
-		c.writeClose(time.Now().Add(s.cfg.WriteTimeout), 1011, err.Error())
-		return
-	}
-	c.writeClose(time.Now().Add(s.cfg.WriteTimeout), 1000, "campaign complete")
 }

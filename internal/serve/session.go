@@ -8,9 +8,9 @@ import (
 	"time"
 )
 
-// lineWriter is one subscriber's transport: an NDJSON HTTP response or
-// a WebSocket connection. WriteLine must deliver one line framed for
-// the transport (newline, text frame) and must respect the deadline —
+// lineWriter is one subscriber's transport: an NDJSON HTTP response in
+// the server, a fake in tests. WriteLine must deliver one line framed
+// for the transport (a trailing newline) and must respect the deadline —
 // a subscriber that cannot keep up fails the deadline and is evicted,
 // which is what keeps one stalled TCP window from pinning a session
 // goroutine forever. The engine itself is never waiting on any

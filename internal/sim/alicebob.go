@@ -51,12 +51,30 @@ func init() { Register(aliceBob) }
 func AliceBob() Scenario { return aliceBob }
 
 // stepAliceBobANC runs one exchange of the Fig. 1(d) schedule between the
-// endpoints at indices ai and bi relaying through ri: both endpoints
-// transmit simultaneously (the router's trigger stimulates both; the
-// second starts after the §7.2 random delay), the router amplifies and
-// broadcasts the interfered signal, and each endpoint cancels its own
-// packet to decode the other's.
+// endpoints at indices ai and bi relaying through ri: the triggered
+// uplinks collide at the router, which amplifies and broadcasts the
+// collision, and each endpoint cancels its own packet to decode the
+// other's.
 func stepAliceBobANC(e *Env, r Recorder, ai, ri, bi int) {
+	relayANC(e, r, triggeredUplinks(e, ai, ri, bi))
+}
+
+// uplinks is the first slot of a triggered exchange: the frames both
+// endpoints sent, the router's reception of their collision, and the
+// drawn start offset of the later one.
+type uplinks struct {
+	ai, ri, bi int
+	recA, recB frame.SentRecord
+	routerRx   dsp.Signal
+	delta      int
+}
+
+// triggeredUplinks runs slot 1 of the Fig. 1(d) schedule: both endpoints
+// transmit simultaneously (the router's trigger stimulates both; the
+// second starts after the §7.2 random delay). Nothing is recorded yet;
+// the router's reception is a scratch buffer that relayANC consumes or
+// the caller releases.
+func triggeredUplinks(e *Env, ai, ri, bi int) uplinks {
 	alice, bob := e.nodes[ai], e.nodes[bi]
 	pktA := frame.NewPacket(alice.ID, bob.ID, alice.NextSeq(), e.payload())
 	pktB := frame.NewPacket(bob.ID, alice.ID, bob.NextSeq(), e.payload())
@@ -64,8 +82,7 @@ func stepAliceBobANC(e *Env, r Recorder, ai, ri, bi int) {
 	recA := alice.BuildFrame(pktA)
 	recB := bob.BuildFrame(pktB)
 
-	// Slot 1: simultaneous uplinks; one of the two (random) starts after
-	// the drawn delay.
+	// One of the two (random) starts after the drawn delay.
 	delta := e.cfg.Delay.Draw(e.rng)
 	dA, dB := 0, delta
 	if e.rng.Intn(2) == 1 {
@@ -77,25 +94,31 @@ func stepAliceBobANC(e *Env, r Recorder, ai, ri, bi int) {
 		channel.Transmission{Signal: recA.Samples, Link: linkAR, Delay: dA},
 		channel.Transmission{Signal: recB.Samples, Link: linkBR, Delay: dB},
 	)
-	// Slot 2: the router re-amplifies to its transmit power and
-	// broadcasts, noise and all (§2, §8). The amplification reuses the
-	// reception buffer in place; it goes back to the pool once the
-	// downlink receptions are synthesized.
-	relayed := channel.AmplifyToInPlace(routerRx, 1)
-	linkRA, _ := e.graph.Link(ri, ai)
-	linkRB, _ := e.graph.Link(ri, bi)
+	return uplinks{ai: ai, ri: ri, bi: bi, recA: recA, recB: recB, routerRx: routerRx, delta: delta}
+}
+
+// relayANC runs slot 2 of the Fig. 1(d) schedule and charges the
+// exchange: the router re-amplifies the collision to its transmit power
+// and broadcasts it, noise and all (§2, §8), and each endpoint decodes
+// the other's packet.
+func relayANC(e *Env, r Recorder, up uplinks) {
+	// The amplification reuses the reception buffer in place; it goes
+	// back to the pool once the downlink receptions are synthesized.
+	relayed := channel.AmplifyToInPlace(up.routerRx, 1)
+	linkRA, _ := e.graph.Link(up.ri, up.ai)
+	linkRB, _ := e.graph.Link(up.ri, up.bi)
 	rxA := e.receive(channel.Transmission{Signal: relayed, Link: linkRA})
 	rxB := e.receive(channel.Transmission{Signal: relayed, Link: linkRB})
 	e.release(relayed)
 
 	// Both downlink receptions decode as one burst: queue order matches
 	// the old sequential call order, so accounting is bit-identical.
-	e.queueANCDecode(alice, rxA, recB)
-	e.queueANCDecode(bob, rxB, recA)
+	e.queueANCDecode(e.nodes[up.ai], rxA, up.recB)
+	e.queueANCDecode(e.nodes[up.bi], rxB, up.recA)
 	e.flushANCDecodes(r)
 
-	r.RecordCollision(mac.OverlapFraction(e.frameLen, delta))
-	r.RecordAirTime(float64(2 * (delta + e.frameLen + e.guard)))
+	e.RecordOverlap(r, up.delta)
+	e.ChargeCollisionSlots(r, 2, up.delta)
 }
 
 // accountANCDecode decodes an interfered reception at a node, measures the
@@ -224,30 +247,4 @@ func boolToInt(b bool) int {
 		return 1
 	}
 	return 0
-}
-
-// RunAliceBobANC simulates one run of the Fig. 1(d) schedule.
-func RunAliceBobANC(cfg Config, seed int64) Metrics {
-	return mustRun(aliceBob, SchemeANC, cfg, seed)
-}
-
-// RunAliceBobTraditional simulates one run of the Fig. 1(b) schedule
-// under the optimal MAC.
-func RunAliceBobTraditional(cfg Config, seed int64) Metrics {
-	return mustRun(aliceBob, SchemeRouting, cfg, seed)
-}
-
-// RunAliceBobCOPE simulates one run of the Fig. 1(c) schedule.
-func RunAliceBobCOPE(cfg Config, seed int64) Metrics {
-	return mustRun(aliceBob, SchemeCOPE, cfg, seed)
-}
-
-// mustRun backs the fixed-scenario Run* helpers, whose scheme is known to
-// be supported.
-func mustRun(sc Scenario, scheme Scheme, cfg Config, seed int64) Metrics {
-	m, err := NewEngine(cfg).Run(sc, scheme, seed)
-	if err != nil {
-		panic(err)
-	}
-	return m
 }

@@ -27,12 +27,11 @@ func TestBatchedDecodeMatchesSequential(t *testing.T) {
 			for _, sc := range Scenarios() {
 				for _, scheme := range sc.Schemes() {
 					for _, seed := range seeds {
-						b, err := eng.RunReusing(sc, scheme, seed, batched)
-						if err != nil {
+						var b, s Metrics
+						if err := eng.RunRecording(sc, scheme, seed, &b, batched); err != nil {
 							t.Fatalf("%s/%s seed %d: batched run: %v", sc.Name(), scheme, seed, err)
 						}
-						s, err := eng.RunReusing(sc, scheme, seed, sequential)
-						if err != nil {
+						if err := eng.RunRecording(sc, scheme, seed, &s, sequential); err != nil {
 							t.Fatalf("%s/%s seed %d: sequential run: %v", sc.Name(), scheme, seed, err)
 						}
 						if !reflect.DeepEqual(b, s) {
@@ -56,7 +55,8 @@ func TestPooledRunConstructionAllocs(t *testing.T) {
 	eng := NewEngine(Config{Packets: 2})
 	sc := MustScenario("alice-bob")
 	run := func(scratch *Scratch, seed int64) {
-		if _, err := eng.RunReusing(sc, SchemeANC, seed, scratch); err != nil {
+		var m Metrics
+		if err := eng.RunRecording(sc, SchemeANC, seed, &m, scratch); err != nil {
 			t.Fatalf("run: %v", err)
 		}
 	}

@@ -120,13 +120,3 @@ func stepChainTraditional(e *Env, r Recorder) {
 	}
 	r.RecordDelivered(float64(len(payload) * 8))
 }
-
-// RunChainANC simulates one run of the steady state of Fig. 2(c).
-func RunChainANC(cfg Config, seed int64) Metrics {
-	return mustRun(chain, SchemeANC, cfg, seed)
-}
-
-// RunChainTraditional simulates one run of Fig. 2(b).
-func RunChainTraditional(cfg Config, seed int64) Metrics {
-	return mustRun(chain, SchemeRouting, cfg, seed)
-}

@@ -25,8 +25,8 @@ func TestZeroSNRIsRespected(t *testing.T) {
 	}
 	// And the run must behave like a 0 dB channel: against the 25 dB
 	// default on the same seed, deliveries collapse or BER climbs.
-	loud := RunAliceBobANC(Config{Packets: 2}, 3)
-	quiet := RunAliceBobANC(Config{Packets: 2, SNRdB: Ptr(0)}, 3)
+	loud := runOne(t, "alice-bob", SchemeANC, Config{Packets: 2}, 3)
+	quiet := runOne(t, "alice-bob", SchemeANC, Config{Packets: 2, SNRdB: Ptr(0)}, 3)
 	if quiet.Delivered >= loud.Delivered && quiet.MeanBER() <= loud.MeanBER() {
 		t.Errorf("0 dB run (delivered %d, BER %v) indistinguishable from 25 dB default (delivered %d, BER %v)",
 			quiet.Delivered, quiet.MeanBER(), loud.Delivered, loud.MeanBER())
@@ -46,7 +46,7 @@ func TestZeroGuardIsRespected(t *testing.T) {
 	}
 	// Traditional accounting is purely slot-counting, so the zero-guard
 	// run charges exactly frameLen per transmission.
-	m := RunAliceBobTraditional(Config{Packets: 1, GuardFrac: Ptr(0)}, 5)
+	m := runOne(t, "alice-bob", SchemeRouting, Config{Packets: 1, GuardFrac: Ptr(0)}, 5)
 	if want := float64(4 * e.frameLen); m.TimeSamples != want {
 		t.Errorf("zero-guard traditional time = %v, want %v", m.TimeSamples, want)
 	}
@@ -88,8 +88,7 @@ func TestFadingOnlyTopologyKeepsChannelDefaults(t *testing.T) {
 // legitimate run and the field is a *float64 with Ptr — a zero
 // SamplesPerSymbol, PayloadBytes or Packets is degenerate (no signal, no
 // runs), so for these the zero value unambiguously means "default" and
-// must keep meaning that. mesh.Config mirrors the same contract
-// (TestDefaults there); channel.FadingSpec.BlockSlots documents 0 → 1
+// must keep meaning that. channel.FadingSpec.BlockSlots documents 0 → 1
 // and is pinned by the channel package's TestRealizeDefaults.
 func TestZeroScalarConfigsMeanDefault(t *testing.T) {
 	cfg := Config{}.withDefaults()

@@ -321,15 +321,8 @@ func (eng *Engine) runConfig(sc Scenario) (Config, error) {
 // scheme — the paper's "two consecutive runs in the same topology" — so
 // pairing schemes by seed is what makes gain ratios meaningful.
 func (eng *Engine) Run(sc Scenario, scheme Scheme, seed int64) (Metrics, error) {
-	return eng.RunReusing(sc, scheme, seed, NewScratch())
-}
-
-// RunReusing is Run drawing reception buffers from a caller-owned
-// Scratch, for callers that execute many runs on one goroutine.
-func (eng *Engine) RunReusing(sc Scenario, scheme Scheme, seed int64, scratch *Scratch) (Metrics, error) {
 	var m Metrics
-	err := eng.RunRecording(sc, scheme, seed, &m, scratch)
-	if err != nil {
+	if err := eng.RunRecording(sc, scheme, seed, &m, nil); err != nil {
 		return Metrics{}, err
 	}
 	return m, nil
@@ -339,27 +332,18 @@ func (eng *Engine) RunReusing(sc Scenario, scheme Scheme, seed int64, scratch *S
 // caller-supplied Recorder — the primitive Run and the campaigns are
 // built on. Custom recorders (a TraceRecorder, a streaming accumulator)
 // see the same typed events the default Metrics folds into aggregates.
-// A nil scratch uses a private buffer pool.
+// A nil scratch uses a private buffer pool; callers that execute many
+// runs on one goroutine pass their own Scratch to reuse its buffers.
 func (eng *Engine) RunRecording(sc Scenario, scheme Scheme, seed int64, rec Recorder, scratch *Scratch) error {
 	return eng.runRecording(nil, sc, scheme, seed, rec, scratch)
 }
 
-// RunRecordingContext is RunRecording under a cancellation context: the
-// run checks ctx between schedule slots and aborts with ctx.Err() — at
-// most one slot batch after cancellation, however long the run is. The
-// cancellation point sits between slots, never inside one, so a run
-// either observes a slot completely or not at all; an aborted run's
-// Recorder holds a prefix of the full run's observations.
-func (eng *Engine) RunRecordingContext(ctx context.Context, sc Scenario, scheme Scheme, seed int64, rec Recorder, scratch *Scratch) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return eng.runRecording(ctx, sc, scheme, seed, rec, scratch)
-}
-
-// runRecording is the shared run loop; a nil ctx skips the per-slot
-// cancellation checks entirely (the zero-overhead path RunRecording and
-// ctx-free campaigns take).
+// runRecording is the shared run loop. A non-nil ctx is checked between
+// schedule slots, never inside one, so a canceled run aborts with
+// ctx.Err() at most one slot batch after cancellation and its Recorder
+// holds a prefix of the full run's observations. A nil ctx skips the
+// checks entirely (the zero-overhead path RunRecording and ctx-free
+// campaigns take).
 func (eng *Engine) runRecording(ctx context.Context, sc Scenario, scheme Scheme, seed int64, rec Recorder, scratch *Scratch) error {
 	cfg, err := eng.runConfig(sc)
 	if err != nil {
@@ -441,7 +425,7 @@ func WithLinkTraces() StreamOption {
 // WithContext runs the campaign under a cancellation context. When ctx
 // is canceled the campaign stops cleanly: the feeder admits no further
 // seeds, idle workers take no further runs, in-flight runs abort at
-// their next schedule slot (see RunRecordingContext), and
+// their next schedule slot (see runRecording), and
 // CampaignStream returns ctx.Err() — unless every row had already been
 // emitted, in which case the campaign completed and returns nil. Rows
 // emitted before cancellation are valid and have been delivered in

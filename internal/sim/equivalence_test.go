@@ -25,8 +25,8 @@ func TestWorkspaceReuseMatchesFreshAllocation(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s seed %d: fresh run: %v", sc.Name(), scheme, seed, err)
 				}
-				reused, err := eng.RunReusing(sc, scheme, seed, shared)
-				if err != nil {
+				var reused Metrics
+				if err := eng.RunRecording(sc, scheme, seed, &reused, shared); err != nil {
 					t.Fatalf("%s/%s seed %d: reusing run: %v", sc.Name(), scheme, seed, err)
 				}
 				if !reflect.DeepEqual(fresh, reused) {

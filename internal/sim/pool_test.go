@@ -33,12 +33,11 @@ func TestPooledScratchAcrossCampaigns(t *testing.T) {
 		}
 		for si, seed := range seeds {
 			for j, scheme := range schemes {
-				fresh, err := eng.RunReusing(c.sc, scheme, seed, NewScratch())
-				if err != nil {
+				var fresh, reused Metrics
+				if err := eng.RunRecording(c.sc, scheme, seed, &fresh, NewScratch()); err != nil {
 					t.Fatalf("campaign %d %s seed %d: %v", i, scheme, seed, err)
 				}
-				reused, err := eng.RunReusing(c.sc, scheme, seed, shared)
-				if err != nil {
+				if err := eng.RunRecording(c.sc, scheme, seed, &reused, shared); err != nil {
 					t.Fatalf("campaign %d %s seed %d: %v", i, scheme, seed, err)
 				}
 				if !reflect.DeepEqual(fresh, pooled[si][j]) || !reflect.DeepEqual(fresh, reused) {

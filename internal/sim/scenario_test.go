@@ -10,7 +10,7 @@ func engineCfg() Config {
 }
 
 func TestRegistryHasPaperAndNewScenarios(t *testing.T) {
-	for _, name := range []string{"alice-bob", "x", "chain", "pairs", "pairs4", "x-cross", "near-far", "fading", "chain-5", "dqpsk"} {
+	for _, name := range []string{"alice-bob", "x", "chain", "pairs", "pairs4", "x-cross", "near-far", "fading", "chain-5", "dqpsk", "closed-loop"} {
 		if _, ok := LookupScenario(name); !ok {
 			t.Errorf("scenario %q not registered", name)
 		}
@@ -157,21 +157,6 @@ func TestCampaignMatchesSequentialRuns(t *testing.T) {
 	}
 }
 
-// TestLegacyWrappersMatchEngine pins the compatibility helpers to the
-// engine path.
-func TestLegacyWrappersMatchEngine(t *testing.T) {
-	cfg := engineCfg()
-	eng := NewEngine(cfg)
-	fromEngine, err := eng.Run(AliceBob(), SchemeANC, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromWrapper := RunAliceBobANC(cfg, 7)
-	if fromEngine.Throughput() != fromWrapper.Throughput() {
-		t.Errorf("wrapper %v != engine %v", fromWrapper.Throughput(), fromEngine.Throughput())
-	}
-}
-
 // TestScratchReuseDoesNotChangeResults runs two seeds back to back on one
 // Scratch and checks each against a fresh-scratch run: reception buffers
 // carrying stale samples from a previous run must not leak into results.
@@ -180,8 +165,8 @@ func TestScratchReuseDoesNotChangeResults(t *testing.T) {
 	eng := NewEngine(cfg)
 	scratch := NewScratch()
 	for _, seed := range []int64{3, 11, 19} {
-		reused, err := eng.RunReusing(AliceBob(), SchemeANC, seed, scratch)
-		if err != nil {
+		var reused Metrics
+		if err := eng.RunRecording(AliceBob(), SchemeANC, seed, &reused, scratch); err != nil {
 			t.Fatal(err)
 		}
 		fresh, err := eng.Run(AliceBob(), SchemeANC, seed)

@@ -12,12 +12,23 @@ func testCfg() Config {
 	return Config{Packets: 8}
 }
 
-// runPair runs ANC and a baseline on the same seed (same channel
-// realization — the paper's "two consecutive runs in the same topology").
-func gainOver(t *testing.T, anc, base func(Config, int64) Metrics, seed int64) float64 {
+// runOne runs one seeded run of a registered scenario under one scheme.
+func runOne(t testing.TB, name string, scheme Scheme, cfg Config, seed int64) Metrics {
 	t.Helper()
-	a := anc(testCfg(), seed)
-	b := base(testCfg(), seed)
+	m, err := NewEngine(cfg).Run(MustScenario(name), scheme, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// gainOver runs ANC and a baseline on the same seed (same channel
+// realization — the paper's "two consecutive runs in the same topology")
+// and returns ANC's throughput gain.
+func gainOver(t *testing.T, name string, base Scheme, seed int64) float64 {
+	t.Helper()
+	a := runOne(t, name, SchemeANC, testCfg(), seed)
+	b := runOne(t, name, base, testCfg(), seed)
 	if a.TimeSamples == 0 || b.TimeSamples == 0 {
 		t.Fatal("degenerate run")
 	}
@@ -27,9 +38,9 @@ func gainOver(t *testing.T, anc, base func(Config, int64) Metrics, seed int64) f
 func TestAliceBobOrdering(t *testing.T) {
 	// §11.3: ANC > COPE > traditional for two-way relay traffic.
 	cfg := testCfg()
-	anc := RunAliceBobANC(cfg, 42)
-	cope := RunAliceBobCOPE(cfg, 42)
-	trad := RunAliceBobTraditional(cfg, 42)
+	anc := runOne(t, "alice-bob", SchemeANC, cfg, 42)
+	cope := runOne(t, "alice-bob", SchemeCOPE, cfg, 42)
+	trad := runOne(t, "alice-bob", SchemeRouting, cfg, 42)
 	if !(anc.Throughput() > cope.Throughput() && cope.Throughput() > trad.Throughput()) {
 		t.Errorf("ordering violated: anc=%v cope=%v trad=%v",
 			anc.Throughput(), cope.Throughput(), trad.Throughput())
@@ -44,8 +55,8 @@ func TestAliceBobGainRange(t *testing.T) {
 	var gTrad, gCope float64
 	const runs = 3
 	for s := int64(0); s < runs; s++ {
-		gTrad += gainOver(t, RunAliceBobANC, RunAliceBobTraditional, 100+s)
-		gCope += gainOver(t, RunAliceBobANC, RunAliceBobCOPE, 100+s)
+		gTrad += gainOver(t, "alice-bob", SchemeRouting, 100+s)
+		gCope += gainOver(t, "alice-bob", SchemeCOPE, 100+s)
 	}
 	gTrad /= runs
 	gCope /= runs
@@ -59,7 +70,7 @@ func TestAliceBobGainRange(t *testing.T) {
 
 func TestAliceBobOverlapCalibration(t *testing.T) {
 	// §11.4: mean packet overlap ≈ 80%.
-	m := RunAliceBobANC(Config{Packets: 40}, 7)
+	m := runOne(t, "alice-bob", SchemeANC, Config{Packets: 40}, 7)
 	if ovl := m.MeanOverlap(); ovl < 0.72 || ovl > 0.88 {
 		t.Errorf("mean overlap = %.3f, want ≈ 0.80", ovl)
 	}
@@ -68,7 +79,7 @@ func TestAliceBobOverlapCalibration(t *testing.T) {
 func TestAliceBobBER(t *testing.T) {
 	// §11.3/§11.4: ANC decodes with average BER in the low percent range
 	// (paper: 2–4% on USRPs; our cleaner channel sits at or below that).
-	m := RunAliceBobANC(Config{Packets: 12}, 8)
+	m := runOne(t, "alice-bob", SchemeANC, Config{Packets: 12}, 8)
 	if len(m.BERs) == 0 {
 		t.Fatal("no BER samples")
 	}
@@ -84,7 +95,7 @@ func TestChainGain(t *testing.T) {
 	var g float64
 	const runs = 3
 	for s := int64(0); s < runs; s++ {
-		g += gainOver(t, RunChainANC, RunChainTraditional, 200+s)
+		g += gainOver(t, "chain", SchemeRouting, 200+s)
 	}
 	g /= runs
 	if g < 1.15 || g > 1.5 {
@@ -99,8 +110,8 @@ func TestChainBERLowerThanAliceBob(t *testing.T) {
 	var chain, ab float64
 	const runs = 3
 	for s := int64(0); s < runs; s++ {
-		chain += RunChainANC(Config{Packets: 10}, 300+s).MeanBER()
-		ab += RunAliceBobANC(Config{Packets: 10}, 300+s).MeanBER()
+		chain += runOne(t, "chain", SchemeANC, Config{Packets: 10}, 300+s).MeanBER()
+		ab += runOne(t, "alice-bob", SchemeANC, Config{Packets: 10}, 300+s).MeanBER()
 	}
 	if chain >= ab {
 		t.Errorf("chain BER %.4f not below Alice–Bob BER %.4f", chain/runs, ab/runs)
@@ -109,9 +120,9 @@ func TestChainBERLowerThanAliceBob(t *testing.T) {
 
 func TestXOrderingAndGain(t *testing.T) {
 	cfg := testCfg()
-	anc := RunXANC(cfg, 9)
-	cope := RunXCOPE(cfg, 9)
-	trad := RunXTraditional(cfg, 9)
+	anc := runOne(t, "x", SchemeANC, cfg, 9)
+	cope := runOne(t, "x", SchemeCOPE, cfg, 9)
+	trad := runOne(t, "x", SchemeRouting, cfg, 9)
 	if !(anc.Throughput() > cope.Throughput() && cope.Throughput() > trad.Throughput()) {
 		t.Errorf("X ordering violated: anc=%v cope=%v trad=%v",
 			anc.Throughput(), cope.Throughput(), trad.Throughput())
@@ -150,12 +161,12 @@ func TestSIRSweepShape(t *testing.T) {
 }
 
 func TestDeterministicRuns(t *testing.T) {
-	a := RunAliceBobANC(testCfg(), 77)
-	b := RunAliceBobANC(testCfg(), 77)
+	a := runOne(t, "alice-bob", SchemeANC, testCfg(), 77)
+	b := runOne(t, "alice-bob", SchemeANC, testCfg(), 77)
 	if a.Throughput() != b.Throughput() || a.MeanBER() != b.MeanBER() {
 		t.Error("same seed produced different metrics")
 	}
-	c := RunAliceBobANC(testCfg(), 78)
+	c := runOne(t, "alice-bob", SchemeANC, testCfg(), 78)
 	if a.Throughput() == c.Throughput() {
 		t.Error("different seeds produced identical metrics")
 	}
@@ -196,14 +207,14 @@ func TestMetricsHelpers(t *testing.T) {
 func TestTimeAccounting(t *testing.T) {
 	// Traditional: exactly 4 transmissions of (frame+guard) per exchange.
 	cfg := Config{Packets: 3}
-	m := RunAliceBobTraditional(cfg, 5)
+	m := runOne(t, "alice-bob", SchemeRouting, cfg, 5)
 	e := newEnvForTest(cfg, 5)
 	want := float64(3 * mac.SlotsTraditionalAliceBob * (e.frameLen + e.guard))
 	if m.TimeSamples != want {
 		t.Errorf("traditional time = %v, want %v", m.TimeSamples, want)
 	}
 	// COPE: 3 slots per exchange.
-	m = RunAliceBobCOPE(cfg, 5)
+	m = runOne(t, "alice-bob", SchemeCOPE, cfg, 5)
 	want = float64(3 * mac.SlotsCOPEAliceBob * (e.frameLen + e.guard))
 	if m.TimeSamples != want {
 		t.Errorf("COPE time = %v, want %v", m.TimeSamples, want)

@@ -365,10 +365,10 @@ func (g gateScenario) Start(e *Env, scheme Scheme) (Stepper, error) {
 	}), nil
 }
 
-// TestRunRecordingContextCancelMidRun cancels a context while a run is
-// inside its schedule: the run must abort at the next slot boundary with
-// ctx.Err(), however many packets remain.
-func TestRunRecordingContextCancelMidRun(t *testing.T) {
+// TestRunRecordingCancelMidRun cancels a context while a run is
+// inside its schedule: the run loop must abort at the next slot boundary
+// with ctx.Err(), however many packets remain.
+func TestRunRecordingCancelMidRun(t *testing.T) {
 	g := gateScenario{started: make(chan struct{}), release: make(chan struct{})}
 	eng := NewEngine(Config{Packets: 100000})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -376,7 +376,7 @@ func TestRunRecordingContextCancelMidRun(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		var m Metrics
-		done <- eng.RunRecordingContext(ctx, g, SchemeANC, 1, &m, nil)
+		done <- eng.runRecording(ctx, g, SchemeANC, 1, &m, nil)
 	}()
 	<-g.started // the run is mid-slot now
 	cancel()
@@ -384,7 +384,7 @@ func TestRunRecordingContextCancelMidRun(t *testing.T) {
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("RunRecordingContext error = %v, want context.Canceled", err)
+			t.Fatalf("runRecording error = %v, want context.Canceled", err)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("canceled run did not return within 10s (deadlock)")

@@ -166,18 +166,3 @@ func stepXCOPE(e *Env, r Recorder) {
 	e.accountCOPEDecode(r, okTo2 && snoop2OK, codedAt2, coded.Header, known2, pkt3.Payload)
 	e.accountCOPEDecode(r, okTo4 && snoop4OK, codedAt4, coded.Header, known4, pkt1.Payload)
 }
-
-// RunXANC simulates one run of the "X" topology of Fig. 11 under ANC.
-func RunXANC(cfg Config, seed int64) Metrics {
-	return mustRun(xTopo, SchemeANC, cfg, seed)
-}
-
-// RunXTraditional simulates one run of the "X" under traditional routing.
-func RunXTraditional(cfg Config, seed int64) Metrics {
-	return mustRun(xTopo, SchemeRouting, cfg, seed)
-}
-
-// RunXCOPE simulates one run of the "X" under digital network coding.
-func RunXCOPE(cfg Config, seed int64) Metrics {
-	return mustRun(xTopo, SchemeCOPE, cfg, seed)
-}
