@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"math"
-	"sort"
 
 	"repro/internal/dsp"
 )
@@ -124,7 +123,8 @@ func EstimateAmplitudesEnvelope(window dsp.Signal) (AmplitudeEstimate, error) {
 }
 
 // estimateEnvelopeWith is EstimateAmplitudesEnvelope drawing its magnitude
-// scratch from a workspace (nil for a fresh allocation).
+// scratch from a workspace (nil for a fresh allocation); the scratch is
+// left reordered.
 func estimateEnvelopeWith(ws *Workspace, window dsp.Signal) (AmplitudeEstimate, error) {
 	n := len(window)
 	if n < 64 {
@@ -139,10 +139,8 @@ func estimateEnvelopeWith(ws *Workspace, window dsp.Signal) (AmplitudeEstimate, 
 	for i, v := range window {
 		mags[i] = math.Hypot(real(v), imag(v))
 	}
-	sort.Float64s(mags)
 	// 0.5% guard quantiles reject additive-noise outliers.
-	lo := mags[n/200]
-	hi := mags[n-1-n/200]
+	lo, hi := selectRanks(mags, n/200)
 	a := (hi + lo) / 2
 	b := (hi - lo) / 2
 	// A near-degenerate spread means there is no resolvable second
@@ -166,4 +164,66 @@ func AssignAmplitudes(est AmplitudeEstimate, knownPower float64) AmplitudeEstima
 		est.A, est.B = est.B, est.A
 	}
 	return est
+}
+
+// selectRanks returns the elements at ranks k and len(xs)−1−k of xs in
+// sort.Float64s' order (NaN before every number) — the two quantiles the
+// envelope estimator reads — without sorting. xs[:k+1] becomes a max-heap
+// of the k+1 smallest elements, so its root is rank k; the k+1 largest of
+// the rest then form a min-heap whose root is rank len(xs)−1−k. That is
+// O(n log k), and at the estimator's k = n/200 little more than two
+// comparisons per element. Equal floats are interchangeable, as in any
+// sort, so the two results are the floats sorting returns (a ±0 or NaN
+// payload aside, which |y| never produces). xs is reordered; it needs
+// len(xs) ≥ 2k+2.
+func selectRanks(xs []float64, k int) (lo, hi float64) {
+	low := xs[:k+1]
+	heapify(low, floatAfter)
+	for i := k + 1; i < len(xs); i++ {
+		if floatLess(xs[i], low[0]) {
+			low[0], xs[i] = xs[i], low[0]
+			siftDown(low, 0, floatAfter)
+		}
+	}
+	rest := xs[k+1:] // the len(xs)−k−1 largest elements
+	high := rest[:k+1]
+	heapify(high, floatLess)
+	for i := k + 1; i < len(rest); i++ {
+		if floatLess(high[0], rest[i]) {
+			high[0], rest[i] = rest[i], high[0]
+			siftDown(high, 0, floatLess)
+		}
+	}
+	return low[0], high[0]
+}
+
+// floatLess is sort.Float64s' order: NaN sorts before every number.
+func floatLess(x, y float64) bool { return x < y || x != x && y == y }
+
+// floatAfter is floatLess reversed.
+func floatAfter(x, y float64) bool { return floatLess(y, x) }
+
+// heapify arranges h as a heap whose root comes first under before.
+func heapify(h []float64, before func(x, y float64) bool) {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i, before)
+	}
+}
+
+// siftDown restores the heap order of h below index i.
+func siftDown(h []float64, i int, before func(x, y float64) bool) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && before(h[c+1], h[c]) {
+			c++
+		}
+		if !before(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }

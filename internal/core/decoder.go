@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	mathbits "math/bits"
 
 	"repro/internal/bits"
 	"repro/internal/dsp"
@@ -104,8 +105,11 @@ type Decoder struct {
 	// pilot and pilotDiffs cache the network pilot and its transmitted
 	// per-sample difference profile — both fixed protocol constants —
 	// so the head search and alignment refinement never recompute them.
+	// pilotWord packs the pilot's bits, first bit highest, for the
+	// alignment scan's popcount.
 	pilot      []byte
 	pilotDiffs []float64
+	pilotWord  uint64
 	ws         *Workspace
 }
 
@@ -122,11 +126,20 @@ func NewDecoder(cfg Config) *Decoder {
 		// a frame size that splits a symbol is a configuration bug.
 		panic(fmt.Sprintf("core: FallbackFrameBits %d is not a multiple of %d bits per symbol", cfg.FallbackFrameBits, bps))
 	}
+	if bps := cfg.Modem.BitsPerSymbol(); bits.PilotLength%bps != 0 {
+		// The wanted-frame alignment decodes the pilot in whole symbols.
+		panic(fmt.Sprintf("core: the %d-bit pilot is not a whole number of %d-bit symbols", bits.PilotLength, bps))
+	}
 	pilot := bits.Pilot(bits.PilotLength)
+	var word uint64
+	for _, p := range pilot {
+		word = word<<1 | uint64(p&1)
+	}
 	return &Decoder{
 		cfg:        cfg,
 		pilot:      pilot,
 		pilotDiffs: cfg.Modem.PhaseDiffs(pilot),
+		pilotWord:  word,
 	}
 }
 
@@ -390,51 +403,68 @@ func (d *Decoder) refineRef(ws *Workspace, rx dsp.Signal, ref, limit int) int {
 }
 
 // alignWanted locates the wanted frame's reference sample in the
-// recovered ∆φ stream: at every candidate offset it decodes one pilot's
-// worth of symbols with the modem's decision rule and Hamming-matches the
-// known pilot — the §7.2 matching process ("she tries to match the known
-// pilot sequence with every sequence of 64 bits"), applied to the
-// interference-decoded stream. The decoded-bit criterion discriminates
-// far more sharply than any soft correlation: a random offset produces
-// ≈32 of 64 wrong bits, the true one a handful.
+// recovered ∆φ stream: at every candidate offset in [lo, hi) it decodes
+// one pilot's worth of symbols with the modem's decision rule and
+// Hamming-matches the known pilot — the §7.2 matching process ("she tries
+// to match the known pilot sequence with every sequence of 64 bits"),
+// applied to the interference-decoded stream. The decoded-bit criterion
+// discriminates far more sharply than any soft correlation: a random
+// offset produces ≈32 of 64 wrong bits, the true one a handful.
 //
 // The search pattern is the forward pilot in either orientation: what
 // leads a backward stream is the frame's mirrored tail read in reverse,
 // and the mirror is laid out in symbol units (frame.MarshalFor) precisely
 // so that under reversal it decodes to the forward pilot for every
 // registered modem, not just one-bit-per-symbol ones.
+//
+// Each sample is decided once. A symbol's bits depend on its own S diffs
+// alone (the PhyModem.DecideDiffsInto contract), so offset o's pilot
+// window is symbols q…q+nsym−1 of the stream decided from lo+r, where
+// r = (o−lo) mod S and q = (o−lo)/S. Each residue's stream is decided
+// into one buffer and slid through a uint64 window, BitsPerSymbol bits
+// per symbol, so an offset costs one popcount. The first offset with the
+// fewest errors wins.
+//
+// It returns the refined offset and the fewest pilot errors at any
+// offset; the offset is −1 when that count exceeds the tolerance, and the
+// count is len(pilot) when the range holds no whole pilot window.
 func (d *Decoder) alignWanted(ws *Workspace, diffs []float64, lo, hi int) (int, int) {
 	m := d.cfg.Modem
-	pilot := d.pilot
-	sps := m.SamplesPerSymbol()
-	need := len(pilot) / m.BitsPerSymbol() * sps
-	if lo < 0 {
-		lo = 0
+	np := len(d.pilot)
+	sps, bps := m.SamplesPerSymbol(), m.BitsPerSymbol()
+	nsym := np / bps
+	lo = max(lo, 0)
+	hi = min(hi, len(diffs)-nsym*sps+1) // every offset reads nsym·S diffs
+	mask := ^uint64(0) >> (64 - np)
+	best, bestErrs := hi, np+1
+	for start := lo; start < min(lo+sps, hi); start++ {
+		// Offsets start, start+S, … below hi need this many symbols.
+		syms := (hi-start+sps-1)/sps - 1 + nsym
+		got := m.DecideDiffsInto(ws.alignLog, diffs[start:start+syms*sps], nil)
+		ws.alignLog = got
+		var win uint64
+		for i, b := range got {
+			win = win<<1 | uint64(b&1)
+			if i+1 < np || (i+1)%bps != 0 {
+				continue
+			}
+			// The residues visit offsets out of order, so ties go to the
+			// lower offset explicitly.
+			o := start + (i+1-np)/bps*sps
+			if e := mathbits.OnesCount64((win ^ d.pilotWord) & mask); e < bestErrs || e == bestErrs && o < best {
+				best, bestErrs = o, e
+			}
+		}
+	}
+	if best == hi {
+		return -1, np
 	}
 	// The pilot sits right at the interference onset — the stretch where
 	// the amplitude estimates are weakest — so the alignment tolerance is
 	// looser than the clean-head pilot search's. Even at 12 of 64 errors
 	// a false match costs P(Binom(64,½) ≤ 12) ≈ 4e−8 per offset.
-	maxErrs := 2 * d.cfg.PilotMaxErrors
-	best, bestErrs := -1, maxErrs+1
-	for o := lo; o < hi && o+need <= len(diffs); o++ {
-		got := m.DecideDiffsInto(ws.alignLog, diffs[o:o+need], nil)
-		ws.alignLog = got
-		errs := 0
-		for i, p := range pilot {
-			if i >= len(got) || got[i] != p {
-				errs++
-				if errs >= bestErrs {
-					break
-				}
-			}
-		}
-		if errs < bestErrs {
-			best, bestErrs = o, errs
-		}
-	}
-	if best < 0 {
-		return best, bestErrs
+	if bestErrs > 2*d.cfg.PilotMaxErrors {
+		return -1, bestErrs
 	}
 	// Sub-symbol refinement: the bit-level match tolerates ±1-sample
 	// misalignments that would corrupt the rest of the frame. Slide
@@ -548,15 +578,13 @@ func (d *Decoder) decodeInterfered(ws *Workspace, rx dsp.Signal, det Detection, 
 	if end > len(rx) {
 		end = len(rx)
 	}
-	diffs, weights, residual := d.extractDiffs(ws, false, rx, est, knownDiffs, frameRef, knownEnd, end)
-	if gap := math.Abs(est.A-est.B) / math.Max(est.A, est.B); gap < 0.15 {
-		swapped := est
-		swapped.A, swapped.B = est.B, est.A
-		d2, w2, r2 := d.extractDiffs(ws, true, rx, swapped, knownDiffs, frameRef, knownEnd, end)
-		if r2 < residual {
-			diffs, weights, est = d2, w2, swapped
-		}
+	swap := math.Abs(est.A-est.B)/math.Max(est.A, est.B) < 0.15
+	match, alt := d.extractDiffs(ws, rx, est, swap, knownDiffs, frameRef, knownEnd, end)
+	if swap && alt.residual() < match.residual() {
+		match = alt
+		est.A, est.B = est.B, est.A
 	}
+	diffs, weights := match.diffs, match.weights
 
 	// 4. Locate the wanted frame's start in the ∆φ stream by pilot
 	// correlation (§7.2: "Once Bob's signal starts, the estimated phase
@@ -639,94 +667,127 @@ func ownedFrame(stream []byte, frameBits, bitsPerSymbol int, backward bool) []by
 // (≪ π/4) never to override a clear phase-difference match.
 const branchContinuityPenalty = 0.3
 
-// extractDiffs runs the Eq. 7–8 matching loop over [frameRef, end),
-// returning the per-transition ∆φ estimates of the wanted signal, their
-// conditioning weights, and the mean matching residual of the known
-// signal (the quantity an amplitude mis-assignment inflates). The diffs
-// and weights live in the workspace (the alt pair when alt is set, so the
-// swapped-assignment trial never clobbers the primary estimates); entries
-// before frameRef are zeroed because the alignment refinement may read
-// slightly below the frame reference.
-func (d *Decoder) extractDiffs(ws *Workspace, alt bool, rx dsp.Signal, est AmplitudeEstimate, knownDiffs []float64, frameRef, knownEnd, end int) ([]float64, []float64, float64) {
-	m := d.cfg.Modem
-	diffsBuf, weightsBuf := &ws.diffs, &ws.weights
-	if alt {
-		diffsBuf, weightsBuf = &ws.altDiffs, &ws.altWts
+// matcher is one amplitude assignment's state in the Eq. 7–8 matching
+// loop: the previous sample's Lemma 6.1 solutions and conditioning, the
+// branch it chose, the known signal's running residual, and the ∆φ and
+// weight streams it writes.
+type matcher struct {
+	prev           [2]PhasePair
+	prevCond       float64
+	prevChoice     int
+	residualSum    float64
+	residualN      int
+	diffs, weights []float64
+}
+
+// residual is the mean matching residual of the known signal (+Inf when
+// no sample was matched).
+func (mt *matcher) residual() float64 {
+	if mt.residualN == 0 {
+		return math.Inf(1)
 	}
-	diffs := growFloats(diffsBuf, end-1)
-	weights := growFloats(weightsBuf, end-1)
-	for n := 0; n < frameRef && n < end-1; n++ {
-		diffs[n] = 0
-		weights[n] = 0
+	return mt.residualSum / float64(mt.residualN)
+}
+
+// extractDiffs runs the Eq. 7–8 matching loop over [frameRef, end) and
+// returns the matcher of the assignment est, whose streams hold the
+// per-transition ∆φ estimates of the wanted signal and their conditioning
+// weights, and whose residual is the mean matching residual of the known
+// signal (the quantity an amplitude mis-assignment inflates). With swap
+// set it runs the swapped assignment (A and B exchanged) in the same sweep
+// and returns its matcher second: each sample's Lemma 6.1 solve serves
+// both (swappedSolutions). The streams live in the workspace (the swapped
+// assignment in the alt pair); entries before frameRef are zeroed because
+// the alignment refinement may read slightly below the frame reference.
+func (d *Decoder) extractDiffs(ws *Workspace, rx dsp.Signal, est AmplitudeEstimate, swap bool, knownDiffs []float64, frameRef, knownEnd, end int) (match, alt matcher) {
+	a, b := est.A, est.B
+	match.diffs, match.weights = growFloats(&ws.diffs, end-1), growFloats(&ws.weights, end-1)
+	clear(match.diffs[:min(frameRef, end-1)])
+	clear(match.weights[:min(frameRef, end-1)])
+	if swap {
+		alt.diffs, alt.weights = growFloats(&ws.altDiffs, end-1), growFloats(&ws.altWts, end-1)
+		clear(alt.diffs[:min(frameRef, end-1)])
+		clear(alt.weights[:min(frameRef, end-1)])
 	}
-	var prev [2]PhasePair
-	prevCond := 0.0
-	prevChoice := 0
 	havePrev := false
-	var residualSum float64
-	var residualN int
 	for n := frameRef; n+1 < end; n++ {
 		if n+1 >= knownEnd {
-			diffs[n] = dsp.PhaseDiff(rx[n], rx[n+1])
-			weights[n] = 1
+			pd := dsp.PhaseDiff(rx[n], rx[n+1])
+			match.diffs[n], match.weights[n] = pd, 1
+			if swap {
+				alt.diffs[n], alt.weights[n] = pd, 1
+			}
 			continue
 		}
 		if !havePrev {
-			prev = SolvePhases(rx[n], est.A, est.B)
-			prevCond = conditioning(rx[n], est.A, est.B)
+			var dPrev float64
+			match.prev = SolvePhases(rx[n], a, b)
+			match.prevCond, dPrev = conditioning(rx[n], a, b)
+			if swap {
+				alt.prev, alt.prevCond = swappedSolutions(rx[n], a, b, match.prev, match.prevCond, dPrev)
+			}
 			havePrev = true
 		}
-		cur := SolvePhases(rx[n+1], est.A, est.B)
-		curCond := conditioning(rx[n+1], est.A, est.B)
+		cur := SolvePhases(rx[n+1], a, b)
+		curCond, dCur := conditioning(rx[n+1], a, b)
 		kd := knownDiffs[n-frameRef]
-		bestCost := math.Inf(1)
-		bestErr := 0.0
-		bestX := 0
-		var bestDiff float64
-		for x := 0; x < 2; x++ {
-			for y := 0; y < 2; y++ {
-				dphi := dsp.WrapPhase(cur[x].Phi - prev[y].Phi)
-				// Cost: mismatch of the known signal's phase difference
-				// (Eq. 8), plus a prior that the wanted difference must
-				// itself be a legal per-sample step of the modulation.
-				// The prior is symmetric in sign so it cannot bias the
-				// bit decision; it only rejects mirror-branch artifacts.
-				// A small continuity bonus prefers re-selecting the
-				// previous sample's solution branch: the physical
-				// configuration (which side of y the known vector lies)
-				// evolves continuously, so branch flips should be rare.
-				e := math.Abs(dsp.WrapPhase(cur[x].Theta - prev[y].Theta - kd))
-				cost := e
-				if !d.cfg.NoMSKPrior {
-					cost += 0.5 * m.StepPrior(dphi)
-				}
-				if y != prevChoice && !d.cfg.NoBranchContinuity {
-					cost += branchContinuityPenalty
-				}
-				if cost < bestCost {
-					bestCost = cost
-					bestErr = e
-					bestDiff = dphi
-					bestX = x
-				}
+		d.matchSample(&match, n, cur, curCond, kd)
+		if swap {
+			altCur, altCond := swappedSolutions(rx[n+1], a, b, cur, curCond, dCur)
+			d.matchSample(&alt, n, altCur, altCond, kd)
+		}
+	}
+	return match, alt
+}
+
+// matchSample picks the Lemma 6.1 solution pair of transition n → n+1
+// whose known-signal phase difference best matches the transmitted one kd
+// (Eq. 8), writes the wanted signal's ∆φ and its weight at n, and moves
+// the matcher on to sample n+1's solutions cur.
+func (d *Decoder) matchSample(mt *matcher, n int, cur [2]PhasePair, curCond, kd float64) {
+	bestCost := math.Inf(1)
+	bestErr := 0.0
+	bestX := 0
+	var bestDiff float64
+	for x := 0; x < 2; x++ {
+		for y := 0; y < 2; y++ {
+			dphi := dsp.WrapPhase(cur[x].Phi - mt.prev[y].Phi)
+			// Cost: mismatch of the known signal's phase difference
+			// (Eq. 8), plus a prior that the wanted difference must
+			// itself be a legal per-sample step of the modulation.
+			// The prior is symmetric in sign so it cannot bias the
+			// bit decision; it only rejects mirror-branch artifacts.
+			// A small continuity bonus prefers re-selecting the
+			// previous sample's solution branch: the physical
+			// configuration (which side of y the known vector lies)
+			// evolves continuously, so branch flips should be rare.
+			e := math.Abs(dsp.WrapPhase(cur[x].Theta - mt.prev[y].Theta - kd))
+			cost := e
+			if !d.cfg.NoMSKPrior {
+				cost += 0.5 * d.cfg.Modem.StepPrior(dphi)
+			}
+			if y != mt.prevChoice && !d.cfg.NoBranchContinuity {
+				cost += branchContinuityPenalty
+			}
+			if cost < bestCost {
+				bestCost = cost
+				bestErr = e
+				bestDiff = dphi
+				bestX = x
 			}
 		}
-		prevChoice = bestX
-		diffs[n] = bestDiff
-		residualSum += bestErr
-		residualN++
-		// Where the circles of Fig. 4 are nearly tangent (|sin(θ−φ)|
-		// small) the φ estimate is ill-conditioned; its contribution to
-		// the symbol decision is weighted down accordingly.
-		if d.cfg.NoConditioningWeights {
-			weights[n] = 1
-		} else {
-			weights[n] = math.Min(prevCond, curCond) + 0.05
-		}
-		prev, prevCond = cur, curCond
 	}
-	if residualN == 0 {
-		return diffs, weights, math.Inf(1)
+	mt.prevChoice = bestX
+	mt.diffs[n] = bestDiff
+	mt.residualSum += bestErr
+	mt.residualN++
+	// Where the circles of Fig. 4 are nearly tangent (|sin(θ−φ)|
+	// small) the φ estimate is ill-conditioned; its contribution to
+	// the symbol decision is weighted down accordingly.
+	if d.cfg.NoConditioningWeights {
+		mt.weights[n] = 1
+	} else {
+		mt.weights[n] = math.Min(mt.prevCond, curCond) + 0.05
 	}
-	return diffs, weights, residualSum / float64(residualN)
+	mt.prev, mt.prevCond = cur, curCond
 }

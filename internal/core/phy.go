@@ -64,6 +64,14 @@ type PhyModem interface {
 	DecideDiffs(diffs, weights []float64) []byte
 	// DecideDiffsInto is DecideDiffs writing into dst's storage (grown
 	// when too small).
+	//
+	// Contract: the decision is per symbol. With S samples and b bits per
+	// symbol, symbol j's bits out[j·b:(j+1)·b] are each 0 or 1 and a
+	// function of diffs[j·S:(j+1)·S] and their weights alone; a trailing
+	// partial symbol is dropped. So one call on the stream from sample r
+	// decides the symbols starting at r, r+S, r+2S, … exactly as separate
+	// calls would — the wanted-frame alignment decides every candidate
+	// offset's pilot window that way.
 	DecideDiffsInto(dst []byte, diffs, weights []float64) []byte
 	// StepPrior returns the wrapped distance from dphi to the nearest
 	// phase difference the modulation can legally produce between two

@@ -43,7 +43,7 @@ type Workspace struct {
 	altWts   []float64        // weights of the swapped-assignment trial
 	headBits []byte           // clean-head demodulation (search prefixes, then the frame)
 	refDiffs []float64        // pilot-window phase differences of refineRef
-	alignLog []byte           // per-offset pilot decisions in alignWanted
+	alignLog []byte           // per-residue symbol decisions in alignWanted
 	wanted   []byte           // final symbol decisions before the owned copy
 	mag2     []float64        // |y|² scratch of the moment estimator
 	mags     []float64        // |y| scratch of the envelope estimator (sorted)

@@ -84,22 +84,72 @@ func (m *Modem) NumBits(nsamples int) int {
 // is the phase reference As·e^{i0}; each subsequent bit contributes S
 // samples whose phase advances by +π/(2S) per sample for a 1 and −π/(2S)
 // for a 0 (continuous phase, Fig. 3).
+//
+// The phase is the float recurrence WrapPhase(phase ± π/(2S)). Beside it
+// an integer counter tracks the phase in steps mod 4S, and where the
+// float is bit-identical to the one cisTables holds for the counter, the
+// table's Cis replaces a Sincos. At the default S = 4, and at S ∈ {1, 2,
+// 5, 7, 10, 14}, the recurrence only ever visits the table's 4S floats.
+// At other S rounding drifts, most samples miss and fall back to dsp.Cis,
+// so the samples are the same at every S.
 func (m *Modem) Modulate(bs []byte) dsp.Signal {
 	out := make(dsp.Signal, 0, m.NumSamples(len(bs)))
 	phase := 0.0
 	out = append(out, complex(m.amplitude, 0))
 	step := PhaseStep / float64(m.sps)
+	var tab []cisEntry
+	if m.sps < len(cisTables) {
+		tab = cisTables[m.sps]
+	}
+	period, c := 4*m.sps, 0
 	for _, b := range bs {
-		d := -step
+		d, dc := -step, period-1
 		if b&1 == 1 {
-			d = step
+			d, dc = step, 1
 		}
 		for k := 0; k < m.sps; k++ {
 			phase = dsp.WrapPhase(phase + d)
-			out = append(out, complex(m.amplitude, 0)*dsp.Cis(phase))
+			if c += dc; c >= period {
+				c -= period
+			}
+			var cis complex128
+			if tab != nil && tab[c].phase == math.Float64bits(phase) {
+				cis = tab[c].cis
+			} else {
+				cis = dsp.Cis(phase)
+			}
+			out = append(out, complex(m.amplitude, 0)*cis)
 		}
 	}
 	return out
+}
+
+// cisEntry is one phase Modulate's recurrence visits: its float bits and
+// its Cis.
+type cisEntry struct {
+	phase uint64
+	cis   complex128
+}
+
+// cisTables[S] holds, for c < 4S, the phase Modulate's recurrence reaches
+// after c upward steps from 0 at S samples per symbol, for S ≤ 16. The
+// tables are built once and never written again, so every Modem shares
+// them and building a Modem allocates nothing more.
+var cisTables = buildCisTables(16)
+
+func buildCisTables(maxS int) [][]cisEntry {
+	tabs := make([][]cisEntry, maxS+1)
+	for s := 1; s <= maxS; s++ {
+		step := PhaseStep / float64(s)
+		tab := make([]cisEntry, 4*s)
+		phase := 0.0
+		for c := range tab {
+			tab[c] = cisEntry{math.Float64bits(phase), dsp.Cis(phase)}
+			phase = dsp.WrapPhase(phase + step)
+		}
+		tabs[s] = tab
+	}
+	return tabs
 }
 
 // PhaseTrajectory returns the cumulative phase (unwrapped, in radians) at
@@ -308,9 +358,10 @@ func (m *Modem) DecideDiffs(diffs, weights []float64) []byte {
 }
 
 // DecideDiffsInto is DecideDiffs writing into dst's storage (grown when
-// too small). The decoder's pilot-alignment search calls it once per
-// candidate offset, so buffer reuse here is what makes alignment
-// allocation free.
+// too small). Each bit depends on its own symbol's S estimates alone (the
+// core.PhyModem contract); nil weights count as 1.0, which is exact. The
+// decoder's pilot-alignment search calls it once per offset residue, so
+// buffer reuse here is what makes alignment allocation free.
 //
 //anc:hotpath
 func (m *Modem) DecideDiffsInto(dst []byte, diffs, weights []float64) []byte {
