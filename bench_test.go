@@ -311,6 +311,26 @@ func BenchmarkDemodulateMLSE(b *testing.B) {
 	}
 }
 
+func BenchmarkModulateDQPSK(b *testing.B) {
+	m := dqpsk.New()
+	bs := benchBits(1024, 1)
+	b.SetBytes(int64(len(bs)) / 8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = m.Modulate(bs)
+	}
+}
+
+func BenchmarkDemodulateDQPSK(b *testing.B) {
+	m := dqpsk.New()
+	s := m.Modulate(benchBits(1024, 2))
+	b.SetBytes(1024 / 8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = m.Demodulate(s)
+	}
+}
+
 func BenchmarkSolvePhases(b *testing.B) {
 	y := complex(0.7, -0.4)
 	b.ReportAllocs()

@@ -8,6 +8,8 @@
 // relative change of ns/op and B/op is computed, and any increase beyond
 // -tol percent fails the run (exit 1). allocs/op changes are reported but
 // gate only with -gate-allocs, since the byte budget already covers them.
+// A benchmark found in one file only is listed by name, as new in head
+// (not gated) or missing from head.
 // Regressions whose head value stays below the -min-ns / -min-bytes
 // floors are exempt for the corresponding metric: single-iteration CI
 // runs make tiny results too noisy to gate, but a small baseline that
@@ -152,20 +154,30 @@ type regression struct {
 }
 
 // compare gates head against base, returning the regressions, a
-// human-readable report of every paired benchmark (in name order), and
-// how many benchmarks were actually paired. tolNs ≤ 0 gates ns/op at the
-// common tolerance.
+// human-readable report of every paired benchmark (in name order) followed
+// by the names found on one side only, and how many benchmarks were
+// actually paired. tolNs ≤ 0 gates ns/op at the common tolerance.
 func compare(base, head map[string]benchResult, tol, tolNs, minNs, minBytes float64, gateAllocs bool) ([]regression, string, int) {
 	if tolNs <= 0 {
 		tolNs = tol
 	}
 	names := make([]string, 0, len(head))
+	var added, missing []string
 	for name := range head {
 		if _, ok := base[name]; ok {
 			names = append(names, name)
+		} else {
+			added = append(added, name)
+		}
+	}
+	for name := range base {
+		if _, ok := head[name]; !ok {
+			missing = append(missing, name)
 		}
 	}
 	sort.Strings(names)
+	sort.Strings(added)
+	sort.Strings(missing)
 	var regs []regression
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-40s %14s %14s %8s\n", "benchmark", "base", "head", "delta")
@@ -187,6 +199,12 @@ func compare(base, head map[string]benchResult, tol, tolNs, minNs, minBytes floa
 		check("ns/op", s.ns, h.ns, s.hasNs && h.hasNs, minNs, tolNs, true)
 		check("B/op", s.bytes, h.bytes, s.hasB && h.hasB, minBytes, tol, true)
 		check("allocs/op", s.allocs, h.allocs, s.hasA && h.hasA, 1, tol, gateAllocs)
+	}
+	for _, name := range added {
+		fmt.Fprintf(&b, "%-40s new in head, not gated\n", name)
+	}
+	for _, name := range missing {
+		fmt.Fprintf(&b, "%-40s missing from head\n", name)
 	}
 	return regs, b.String(), len(names)
 }

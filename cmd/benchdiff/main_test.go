@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -136,5 +137,33 @@ func TestCompareGatesRegressionFromBelowFloor(t *testing.T) {
 	regs, _, _ := compare(base, head, 10, 0, 1e5, 4096, true)
 	if len(regs) != 2 {
 		t.Fatalf("zero-baseline regression not gated on both B/op and allocs/op: %+v", regs)
+	}
+}
+
+func TestCompareListsUnpairedBenchmarks(t *testing.T) {
+	// A benchmark on one side only cannot be gated, but the report must
+	// name it rather than drop it silently.
+	base := map[string]benchResult{
+		"BenchmarkA":    {name: "BenchmarkA", ns: 1e6, hasNs: true},
+		"BenchmarkGone": {name: "BenchmarkGone", ns: 1e6, hasNs: true},
+	}
+	head := map[string]benchResult{
+		"BenchmarkA":   {name: "BenchmarkA", ns: 1e6, hasNs: true},
+		"BenchmarkNew": {name: "BenchmarkNew", ns: 9e9, hasNs: true},
+	}
+	regs, report, paired := compare(base, head, 10, 0, 1e5, 4096, true)
+	if len(regs) != 0 || paired != 1 {
+		t.Fatalf("regressions %+v, paired %d: want none and 1", regs, paired)
+	}
+	for _, want := range []string{"BenchmarkNew", "new in head, not gated", "BenchmarkGone", "missing from head"} {
+		if !strings.Contains(report, want) {
+			t.Errorf("report lacks %q:\n%s", want, report)
+		}
+	}
+	for _, line := range strings.Split(report, "\n") {
+		if strings.Contains(line, "BenchmarkNew") && !strings.Contains(line, "new in head, not gated") ||
+			strings.Contains(line, "BenchmarkGone") && !strings.Contains(line, "missing from head") {
+			t.Errorf("unpaired benchmark reported as paired: %q", line)
+		}
 	}
 }

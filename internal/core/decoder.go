@@ -306,8 +306,11 @@ const headMargin = 16
 // the first pilot match in them, and the header after it, are the whole
 // view's. An offset whose settled bits hold no match, or end before the
 // match's header does, is demodulated over its whole view instead. The
-// search therefore chooses exactly what a search over whole views would.
-// No frame bits are returned: only decodeClean needs them (frameBits).
+// search stops at the first offset whose pilot matches with zero errors
+// and whose header decodes, since a later offset replaces the best only
+// with strictly fewer errors. It therefore chooses exactly what a search
+// over every whole view would. No frame bits are returned: only
+// decodeClean needs them (frameBits).
 func (d *Decoder) findHead(ws *Workspace, rx dsp.Signal, start, limit int) (headMatch, error) {
 	m := d.cfg.Modem
 	sps, bps := m.SamplesPerSymbol(), m.BitsPerSymbol()
@@ -349,6 +352,10 @@ func (d *Decoder) findHead(ws *Workspace, rx dsp.Signal, start, limit int) (head
 		// match whose header would have failed above).
 		best = headMatch{h: h, ref: lo + k/bps*sps, view: lo, k: k}
 		bestErrs = errs
+		if errs == 0 {
+			// ws.headBits is not read again before frameBits rewrites it.
+			break
+		}
 	}
 	if bestErrs == 1<<30 {
 		return headMatch{}, ErrNoPilot

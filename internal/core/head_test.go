@@ -17,9 +17,10 @@ import (
 // findHeadReference is the clean-head search findHead must reproduce: it
 // demodulates every sub-symbol offset's whole view, scores each by its
 // first pilot match, and refines the winner by computing each shift's
-// phase differences afresh. It returns the header, the frame reference and
-// the frame's bits from the pilot on.
-func (d *Decoder) findHeadReference(rx dsp.Signal, start, limit int) (frame.Header, int, []byte, error) {
+// phase differences afresh. It returns the match (header, frame
+// reference, and the view and pilot index that won) and the frame's bits
+// from the pilot on.
+func (d *Decoder) findHeadReference(rx dsp.Signal, start, limit int) (headMatch, []byte, error) {
 	m := d.cfg.Modem
 	sps := m.SamplesPerSymbol()
 	if limit > len(rx) {
@@ -32,10 +33,10 @@ func (d *Decoder) findHeadReference(rx dsp.Signal, start, limit int) (frame.Head
 		}
 	}
 	if len(views) == 0 {
-		return frame.Header{}, 0, nil, ErrNoPilot
+		return headMatch{}, nil, ErrNoPilot
 	}
-	var h frame.Header
-	ref, bestErrs := 0, 1<<30
+	var want headMatch
+	bestErrs := 1 << 30
 	var frameBits []byte
 	for off, bs := range m.DemodulateBatchInto(nil, nil, views) {
 		k, errs := FindPatternScored(bs, d.pilot, d.cfg.PilotMaxErrors)
@@ -46,13 +47,14 @@ func (d *Decoder) findHeadReference(rx dsp.Signal, start, limit int) (frame.Head
 		if err != nil {
 			continue
 		}
-		h, ref, frameBits, bestErrs = hdr, start+off+k/m.BitsPerSymbol()*sps, bs[k:], errs
+		want = headMatch{h: hdr, ref: start + off + k/m.BitsPerSymbol()*sps, view: start + off, k: k}
+		frameBits, bestErrs = bs[k:], errs
 	}
 	if bestErrs == 1<<30 {
-		return frame.Header{}, 0, nil, ErrNoPilot
+		return headMatch{}, nil, ErrNoPilot
 	}
-	best, bestScore := ref, math.Inf(-1)
-	for r := ref - sps + 1; r < ref+sps; r++ {
+	best, bestScore := want.ref, math.Inf(-1)
+	for r := want.ref - sps + 1; r < want.ref+sps; r++ {
 		if r < 0 || r+len(d.pilotDiffs)+1 > limit {
 			continue
 		}
@@ -64,13 +66,35 @@ func (d *Decoder) findHeadReference(rx dsp.Signal, start, limit int) (frame.Head
 			best, bestScore = r, score
 		}
 	}
-	if best != ref {
-		ref = best
-		if bs := m.Demodulate(rx[ref:limit]); len(bs) > 0 {
+	if best != want.ref {
+		want.ref = best
+		if bs := m.Demodulate(rx[best:limit]); len(bs) > 0 {
 			frameBits = bs
 		}
 	}
-	return h, ref, frameBits, nil
+	return want, frameBits, nil
+}
+
+// perfectOffset returns the first sub-symbol offset whose whole view
+// matches the pilot with zero errors and decodes a header (−1 if none),
+// and how many offsets a search from start scans.
+func (d *Decoder) perfectOffset(rx dsp.Signal, start, limit int) (first, offsets int) {
+	m := d.cfg.Modem
+	limit = min(limit, len(rx))
+	first = -1
+	for off := 0; off < m.SamplesPerSymbol() && start+off < limit; off++ {
+		offsets++
+		if first >= 0 {
+			continue
+		}
+		bs := m.Demodulate(rx[start+off : limit])
+		if k, errs := FindPatternScored(bs, d.pilot, d.cfg.PilotMaxErrors); k >= 0 && errs == 0 {
+			if _, err := frame.DecodeHeader(bs[k+bits.PilotLength:]); err == nil {
+				first = off
+			}
+		}
+	}
+	return first, offsets
 }
 
 // headSearch is one findHead input.
@@ -81,7 +105,8 @@ type headSearch struct {
 }
 
 // headSearches synthesizes clean, interfered, conjugate-reversed and
-// noise-only receptions at 0–25 dB SNR with random lead-ins, and pairs
+// noise-only receptions at 0–25 dB SNR, and more clean ones at 0–6 dB, with
+// random lead-ins, and pairs
 // each with the start/limit the decoder would use plus jittered starts.
 func headSearches(rng *rand.Rand, m PhyModem, floor float64, det DetectorConfig) []headSearch {
 	sps := m.SamplesPerSymbol()
@@ -126,12 +151,22 @@ func headSearches(rng *rand.Rand, m PhyModem, floor float64, det DetectorConfig)
 
 		out = append(out, headSearch{"noise", noise().Samples(2000 + rng.Intn(4000)), rng.Intn(500), 2000})
 	}
+	// At low SNR the best offset's pilot often keeps a bit error, so the
+	// search scans every offset and still finds a header.
+	for i := 0; i < 12; i++ {
+		snr := rng.Float64() * 6
+		add("low-SNR clean", channel.Receive(noise(), 200, channel.Transmission{Signal: frameSig(), Link: link(snr), Delay: rng.Intn(1500)}))
+	}
 	return out
 }
 
 // TestFindHeadMatchesWholeViewSearch holds the settled-prefix head search
-// to the whole-view search it replaces: the same header, frame reference
-// and error, and for matches the same frame bits, for both modems.
+// to the whole-view search it replaces: the same header, frame reference,
+// winning view and pilot index, and error, and for matches the same frame
+// bits, for both modems. The
+// matches must include searches that stop at a zero-error offset before
+// the last and searches that find their header after scanning every
+// offset; at S = 1 there is one offset, so no search can stop early.
 func TestFindHeadMatchesWholeViewSearch(t *testing.T) {
 	modems := []PhyModem{msk.New(), msk.New(msk.WithSamplesPerSymbol(1)), msk.New(msk.WithSamplesPerSymbol(2)), dqpsk.New()}
 	for mi, m := range modems {
@@ -141,10 +176,10 @@ func TestFindHeadMatchesWholeViewSearch(t *testing.T) {
 		ws := NewWorkspace()
 		sps, bps := m.SamplesPerSymbol(), m.BitsPerSymbol()
 		prefix := m.NumSamples((d.cfg.Detector.Window/sps + frame.MirrorBits/bps + headMargin) * bps)
-		var found, missed, conclusive, fallback, refined int
+		var found, missed, conclusive, fallback, refined, stopped, scanned int
 		for _, c := range headSearches(rng, m, floor, d.cfg.Detector) {
 			ws.prepareBatch(len(c.rx))
-			wantH, wantRef, wantBits, wantErr := d.findHeadReference(c.rx, c.start, c.limit)
+			want, wantBits, wantErr := d.findHeadReference(c.rx, c.start, c.limit)
 			hm, err := d.findHead(ws, c.rx, c.start, c.limit)
 			if !errors.Is(err, wantErr) || wantErr != nil && err == nil {
 				t.Fatalf("modem %d %s: err %v, reference %v", mi, c.kind, err, wantErr)
@@ -154,14 +189,19 @@ func TestFindHeadMatchesWholeViewSearch(t *testing.T) {
 				continue
 			}
 			found++
-			if hm.h != wantH || hm.ref != wantRef {
-				t.Fatalf("modem %d %s: header %v ref %d, reference %v ref %d", mi, c.kind, hm.h, hm.ref, wantH, wantRef)
+			if hm != want {
+				t.Fatalf("modem %d %s: match %+v, reference %+v", mi, c.kind, hm, want)
 			}
 			if got := d.frameBits(ws, c.rx, hm, c.limit); string(got) != string(wantBits) {
 				t.Fatalf("modem %d %s: frame bits differ from the reference's", mi, c.kind)
 			}
 			if hm.ref != hm.view+hm.k/bps*sps {
 				refined++
+			}
+			if first, offsets := d.perfectOffset(c.rx, c.start, c.limit); first >= 0 && first < offsets-1 {
+				stopped++
+			} else {
+				scanned++
 			}
 			// Which path decided the matched offset?
 			hi := min(hm.view+prefix, min(c.limit, len(c.rx)))
@@ -172,9 +212,9 @@ func TestFindHeadMatchesWholeViewSearch(t *testing.T) {
 				fallback++
 			}
 		}
-		t.Logf("modem %d: %d found (%d from the prefix, %d from the whole view, %d refined), %d without a pilot",
-			mi, found, conclusive, fallback, refined, missed)
-		if conclusive == 0 || fallback == 0 || missed == 0 {
+		t.Logf("modem %d: %d found (%d from the prefix, %d from the whole view, %d refined; %d stopped early, %d scanned every offset), %d without a pilot",
+			mi, found, conclusive, fallback, refined, stopped, scanned, missed)
+		if conclusive == 0 || fallback == 0 || missed == 0 || scanned == 0 || sps > 1 && stopped == 0 {
 			t.Errorf("modem %d: a path went unexercised", mi)
 		}
 	}

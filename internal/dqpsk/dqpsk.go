@@ -25,6 +25,7 @@ package dqpsk
 import (
 	"fmt"
 	"math"
+	"math/cmplx"
 
 	"repro/internal/dsp"
 )
@@ -37,6 +38,9 @@ var jumps = [4]float64{
 	0b11: -3 * math.Pi / 4,
 	0b10: -math.Pi / 4,
 }
+
+// jumpSteps is each symbol's jump in units of π/4, mod 8.
+var jumpSteps = [4]int{0b00: 1, 0b01: 3, 0b11: 5, 0b10: 7}
 
 // Modem is a π/4-DQPSK modulator/demodulator. Stateless and safe for
 // concurrent use.
@@ -100,16 +104,19 @@ func bitsOf(sym int) (byte, byte) { return byte(sym >> 1), byte(sym & 1) }
 // Modulate maps bits (padded to a whole symbol with a 0) to the baseband
 // signal: one reference sample at phase 0, then per symbol an immediate
 // phase jump held constant for S samples.
+//
+// The phase is a multiple of π/4, so Modulate counts it in units of π/4
+// mod 8 and takes e^{iφ} from cisTable: no Sincos per symbol.
 func (m *Modem) Modulate(bs []byte) dsp.Signal {
 	if len(bs)%2 == 1 {
 		bs = append(append([]byte(nil), bs...), 0)
 	}
 	out := make(dsp.Signal, 0, 1+len(bs)/2*m.sps)
 	out = append(out, complex(m.amplitude, 0))
-	phase := 0.0
+	c := 0
 	for i := 0; i+1 < len(bs); i += 2 {
-		phase = dsp.WrapPhase(phase + jumps[symbolOf(bs[i], bs[i+1])])
-		v := complex(m.amplitude, 0) * dsp.Cis(phase)
+		c = (c + jumpSteps[symbolOf(bs[i], bs[i+1])]) % len(cisTable)
+		v := complex(m.amplitude, 0) * cisTable[c]
 		for k := 0; k < m.sps; k++ {
 			out = append(out, v)
 		}
@@ -117,9 +124,27 @@ func (m *Modem) Modulate(bs []byte) dsp.Signal {
 	return out
 }
 
+// cisTable[c] is dsp.Cis of the phase the float recurrence
+// φ ← WrapPhase(φ + π/4) reaches from 0 in c steps. WrapPhase only adds,
+// and each jump from one of these 8 floats lands exactly on the one its
+// counter names, so the table holds the samples of the recurrence
+// φ ← WrapPhase(φ + jump) bit for bit. It is built once and never written
+// again, so every Modem shares it.
+var cisTable = func() (tab [8]complex128) {
+	phase := 0.0
+	for c := range tab {
+		tab[c] = dsp.Cis(phase)
+		phase = dsp.WrapPhase(phase + jumps[0b00])
+	}
+	return tab
+}()
+
 // Demodulate recovers bits by averaging each symbol's samples (the phase
 // is constant within a symbol, so the boxcar is a true matched filter)
-// and mapping the inter-symbol phase change to the nearest jump.
+// and mapping the inter-symbol phase change to the nearest jump. A
+// change whose product z = acc·conj(prev) lies clearly inside a quadrant
+// is decided by the signs of z (productSymbol); only one near an axis
+// pays for the atan2.
 func (m *Modem) Demodulate(s dsp.Signal) []byte {
 	return m.DemodulateInto(nil, nil, s)
 }
@@ -146,8 +171,10 @@ func (m *Modem) DemodulateInto(scratch *dsp.Scratch, dst []byte, s dsp.Signal) [
 		for k := 0; k < m.sps; k++ {
 			acc += s[base+k]
 		}
-		d := dsp.PhaseDiff(prev, acc)
-		sym := nearestJump(d)
+		sym, ok := productSymbol(acc * cmplx.Conj(prev))
+		if !ok {
+			sym = nearestJump(dsp.PhaseDiff(prev, acc))
+		}
 		out[2*i], out[2*i+1] = bitsOf(sym)
 		prev = acc
 	}
@@ -194,6 +221,52 @@ func nearestJump(d float64) int {
 	return best
 }
 
+// margin is the decision margin τ of productSymbol, angleSymbol and
+// nearestStep. Each decides only an angle more than τ (for a product z,
+// atan τ ≈ τ) from every boundary between two candidates, where the
+// nearest and second-nearest candidate distances differ by at least 2τ.
+// atan2 and WrapPhase err by a few ulp of 2π, about 1e-15, so there the
+// scan over candidates picks the same candidate, and the same float, the
+// shortcut does. The margin tests are false for NaN and ±Inf, and the
+// product and angle ones for ±0 too; those values go to the scan.
+const margin = 1e-6
+
+// quadrant returns the symbol whose jump lies in the quadrant of a point
+// with the given signs: I is 0b00 (+π/4), II is 0b01 (+3π/4), III is
+// 0b11 (−3π/4) and IV is 0b10 (−π/4).
+func quadrant(negIm, negRe bool) int {
+	sym := 0
+	if negIm {
+		sym |= 0b10
+	}
+	if negRe {
+		sym |= 0b01
+	}
+	return sym
+}
+
+// productSymbol returns nearestJump(cmplx.Phase(z)) from the signs of z,
+// and true, when z is more than the margin off both axes:
+// min(|re z|, |im z|) > τ·max(|re z|, |im z|). Otherwise it returns false.
+func productSymbol(z complex128) (int, bool) {
+	re, im := math.Abs(real(z)), math.Abs(imag(z))
+	if min(re, im) > margin*max(re, im) {
+		return quadrant(math.Signbit(imag(z)), math.Signbit(real(z))), true
+	}
+	return 0, false
+}
+
+// angleSymbol returns nearestJump(acc) from the quadrant of acc, and
+// true, when acc lies in (−π, π] more than the margin from 0, ±π/2 and
+// ±π. Otherwise it returns false.
+func angleSymbol(acc float64) (int, bool) {
+	a := math.Abs(acc)
+	if a > margin && a < math.Pi-margin && math.Abs(a-math.Pi/2) > margin {
+		return quadrant(acc < 0, a > math.Pi/2), true
+	}
+	return 0, false
+}
+
 // PhaseDiffs returns the per-sample transmitted phase differences: the
 // whole jump on each symbol's first transition, zero elsewhere.
 func (m *Modem) PhaseDiffs(bs []byte) []float64 {
@@ -233,7 +306,8 @@ func (m *Modem) DecideDiffs(diffs, weights []float64) []byte {
 }
 
 // DecideDiffsInto is DecideDiffs writing into dst's storage (grown when
-// too small).
+// too small). A sum clearly inside a quadrant is decided by the quadrant
+// (angleSymbol).
 //
 //anc:hotpath
 func (m *Modem) DecideDiffsInto(dst []byte, diffs, weights []float64) []byte {
@@ -244,7 +318,11 @@ func (m *Modem) DecideDiffsInto(dst []byte, diffs, weights []float64) []byte {
 		for k := 0; k < m.sps; k++ {
 			acc += diffs[j*m.sps+k]
 		}
-		out[2*j], out[2*j+1] = bitsOf(nearestJump(acc))
+		sym, ok := angleSymbol(acc)
+		if !ok {
+			sym = nearestJump(acc)
+		}
+		out[2*j], out[2*j+1] = bitsOf(sym)
 	}
 	return out
 }
@@ -263,7 +341,12 @@ func (m *Modem) BackwardRefOffset() int { return m.sps - 1 }
 
 // StepPrior returns the wrapped distance from dphi to the nearest legal
 // per-sample difference: 0 (within a symbol) or one of the four jumps.
+// Where nearestStep knows the nearest one, only its distance is
+// computed; otherwise all five are scanned.
 func (m *Modem) StepPrior(dphi float64) float64 {
+	if j, ok := nearestStep(dphi); ok {
+		return math.Abs(dsp.WrapPhase(dphi - j))
+	}
 	best := math.Abs(dsp.WrapPhase(dphi))
 	for _, j := range jumps {
 		if e := math.Abs(dsp.WrapPhase(dphi - j)); e < best {
@@ -271,4 +354,18 @@ func (m *Modem) StepPrior(dphi float64) float64 {
 		}
 	}
 	return best
+}
+
+// nearestStep returns the legal per-sample difference nearest dphi, and
+// true, when |dphi| ≤ π lies more than the margin from π/8, π/2 and π,
+// the boundaries between candidates. Otherwise it returns false.
+func nearestStep(dphi float64) (float64, bool) {
+	a := math.Abs(dphi)
+	if a < math.Pi-margin && math.Abs(a-math.Pi/8) > margin && math.Abs(a-math.Pi/2) > margin {
+		if a < math.Pi/8 {
+			return 0, true
+		}
+		return jumps[quadrant(dphi < 0, a > math.Pi/2)], true
+	}
+	return 0, false
 }

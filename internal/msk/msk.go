@@ -30,6 +30,7 @@ const PhaseStep = math.Pi / 2
 type Modem struct {
 	sps       int     // samples per symbol
 	amplitude float64 // transmit amplitude As (§5.2: constant)
+	step      float64 // per-sample phase step magnitude PhaseStep/S
 }
 
 // Option configures a Modem.
@@ -59,6 +60,7 @@ func New(opts ...Option) *Modem {
 	if m.amplitude <= 0 {
 		panic(fmt.Sprintf("msk: non-positive amplitude %v", m.amplitude))
 	}
+	m.step = PhaseStep / float64(m.sps)
 	return m
 }
 
@@ -96,16 +98,15 @@ func (m *Modem) Modulate(bs []byte) dsp.Signal {
 	out := make(dsp.Signal, 0, m.NumSamples(len(bs)))
 	phase := 0.0
 	out = append(out, complex(m.amplitude, 0))
-	step := PhaseStep / float64(m.sps)
 	var tab []cisEntry
 	if m.sps < len(cisTables) {
 		tab = cisTables[m.sps]
 	}
 	period, c := 4*m.sps, 0
 	for _, b := range bs {
-		d, dc := -step, period-1
+		d, dc := -m.step, period-1
 		if b&1 == 1 {
-			d, dc = step, 1
+			d, dc = m.step, 1
 		}
 		for k := 0; k < m.sps; k++ {
 			phase = dsp.WrapPhase(phase + d)
@@ -331,12 +332,11 @@ func (m *Modem) PhaseDiffs(bs []byte) []float64 {
 //anc:hotpath
 func (m *Modem) PhaseDiffsInto(dst []float64, bs []byte) []float64 {
 	dst = dsp.GrowFloats(dst, len(bs)*m.sps)
-	step := PhaseStep / float64(m.sps)
 	i := 0
 	for _, b := range bs {
-		d := -step
+		d := -m.step
 		if b&1 == 1 {
-			d = step
+			d = m.step
 		}
 		for k := 0; k < m.sps; k++ {
 			dst[i] = d
@@ -394,9 +394,8 @@ func (m *Modem) BackwardRefOffset() int { return 0 }
 // StepPrior returns the wrapped distance from dphi to the nearest legal
 // MSK per-sample step (±π/(2S)).
 func (m *Modem) StepPrior(dphi float64) float64 {
-	step := PhaseStep / float64(m.sps)
-	a := math.Abs(dsp.WrapPhase(dphi - step))
-	b := math.Abs(dsp.WrapPhase(dphi + step))
+	a := math.Abs(dsp.WrapPhase(dphi - m.step))
+	b := math.Abs(dsp.WrapPhase(dphi + m.step))
 	if a < b {
 		return a
 	}
