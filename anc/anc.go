@@ -63,7 +63,9 @@ type PhyModem = core.PhyModem
 // -modem). Implementations must be stateless, safe for concurrent use,
 // and keep the *Into ownership rules: results go into the caller's dst
 // storage, internal working buffers come only from the caller's
-// scratch, so steady-state decodes allocate nothing.
+// scratch, so steady-state decodes allocate nothing. ModulateInto must
+// return Modulate's samples whatever dst holds: the engine modulates
+// every frame into a pooled buffer that still holds an earlier frame.
 //
 // DemodulateSettledInto must not overstate how many bits are settled:
 // for every longer signal that starts with s, the first settled bits

@@ -301,6 +301,20 @@ func BenchmarkModulate(b *testing.B) {
 	}
 }
 
+// BenchmarkModulateInto modulates into one reused buffer, the way the
+// engine modulates every frame it transmits: 0 B/op.
+func BenchmarkModulateInto(b *testing.B) {
+	m := msk.New()
+	bs := benchBits(1024, 1)
+	dst := m.Modulate(bs)
+	b.SetBytes(int64(len(bs)) / 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = m.ModulateInto(dst, bs)
+	}
+}
+
 func BenchmarkDemodulateMLSE(b *testing.B) {
 	m := msk.New()
 	s := m.Modulate(benchBits(1024, 2))
@@ -318,6 +332,19 @@ func BenchmarkModulateDQPSK(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = m.Modulate(bs)
+	}
+}
+
+// BenchmarkModulateIntoDQPSK is BenchmarkModulateInto for π/4-DQPSK.
+func BenchmarkModulateIntoDQPSK(b *testing.B) {
+	m := dqpsk.New()
+	bs := benchBits(1024, 1)
+	dst := m.Modulate(bs)
+	b.SetBytes(int64(len(bs)) / 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = m.ModulateInto(dst, bs)
 	}
 }
 

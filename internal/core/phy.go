@@ -27,6 +27,12 @@ type PhyModem interface {
 	// Modulate maps bits to complex baseband samples, beginning with one
 	// phase-reference sample.
 	Modulate(bs []byte) dsp.Signal
+	// ModulateInto is Modulate writing the samples into dst's storage
+	// (grown when too small). The samples are identical to Modulate's;
+	// the slice is valid until the next call reusing dst. The engine
+	// modulates every frame it transmits this way, into a buffer that
+	// lives one schedule slot.
+	ModulateInto(dst dsp.Signal, bs []byte) dsp.Signal
 	// Demodulate recovers bits from a clean (single-signal) reception.
 	Demodulate(s dsp.Signal) []byte
 	// DemodulateInto is Demodulate writing the recovered bits into dst's

@@ -107,18 +107,32 @@ func bitsOf(sym int) (byte, byte) { return byte(sym >> 1), byte(sym & 1) }
 //
 // The phase is a multiple of π/4, so Modulate counts it in units of π/4
 // mod 8 and takes e^{iφ} from cisTable: no Sincos per symbol.
-func (m *Modem) Modulate(bs []byte) dsp.Signal {
-	if len(bs)%2 == 1 {
-		bs = append(append([]byte(nil), bs...), 0)
+func (m *Modem) Modulate(bs []byte) dsp.Signal { return m.ModulateInto(nil, bs) }
+
+// ModulateInto is Modulate writing the samples into dst's storage (grown
+// when too small). An odd final bit is paired with a 0 where it is read,
+// so bs is never copied. The samples are identical to Modulate's; the
+// slice is valid until the next call that reuses dst.
+//
+//anc:hotpath
+func (m *Modem) ModulateInto(dst dsp.Signal, bs []byte) dsp.Signal {
+	n := m.NumSamples(len(bs))
+	if cap(dst) < n {
+		dst = make(dsp.Signal, n)
 	}
-	out := make(dsp.Signal, 0, 1+len(bs)/2*m.sps)
-	out = append(out, complex(m.amplitude, 0))
-	c := 0
-	for i := 0; i+1 < len(bs); i += 2 {
-		c = (c + jumpSteps[symbolOf(bs[i], bs[i+1])]) % len(cisTable)
+	out := dst[:n]
+	out[0] = complex(m.amplitude, 0)
+	c, o := 0, 1
+	for i := 0; i < len(bs); i += 2 {
+		var b2 byte
+		if i+1 < len(bs) {
+			b2 = bs[i+1]
+		}
+		c = (c + jumpSteps[symbolOf(bs[i], b2)]) % len(cisTable)
 		v := complex(m.amplitude, 0) * cisTable[c]
 		for k := 0; k < m.sps; k++ {
-			out = append(out, v)
+			out[o] = v
+			o++
 		}
 	}
 	return out

@@ -60,6 +60,13 @@ func TestIntoVariantsSteadyStateAllocFree(t *testing.T) {
 	in := randomBits(rand.New(rand.NewSource(9)), 512)
 	sig := m.Modulate(in)
 
+	samples := m.ModulateInto(nil, in)
+	if allocs := testing.AllocsPerRun(20, func() {
+		samples = m.ModulateInto(samples, in)
+	}); allocs != 0 {
+		t.Errorf("ModulateInto allocates %.1f objects/op after warmup", allocs)
+	}
+
 	dst := m.DemodulateInto(nil, nil, sig)
 	if allocs := testing.AllocsPerRun(20, func() {
 		dst = m.DemodulateInto(nil, dst, sig)

@@ -15,7 +15,10 @@ import (
 // in their Sent Packet Buffer hold Packet and Bits only, because
 // cancellation reads nothing but Bits. A record looked up in a node's
 // buffer therefore has nil Samples; transmit from the record BuildFrame
-// returned in the same step.
+// returned in the same step. The simulation engine holds its schedules
+// to exactly that: the samples of the frames it builds come from a pool
+// that takes them back when the slot ends, and frames with equal bits
+// within a slot share one set of samples.
 type SentRecord struct {
 	Packet  Packet
 	Bits    []byte

@@ -66,6 +66,13 @@ func TestIntoVariantsSteadyStateAllocFree(t *testing.T) {
 		in := randomBits(rand.New(rand.NewSource(8)), 512)
 		sig := m.Modulate(in)
 
+		samples := m.ModulateInto(nil, in)
+		if allocs := testing.AllocsPerRun(20, func() {
+			samples = m.ModulateInto(samples, in)
+		}); allocs != 0 {
+			t.Errorf("sps=%d: ModulateInto allocates %.1f objects/op after warmup", sps, allocs)
+		}
+
 		var scratch dsp.Scratch
 		dst := m.DemodulateInto(&scratch, nil, sig) // grow dst and scratch
 		if allocs := testing.AllocsPerRun(20, func() {

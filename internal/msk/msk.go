@@ -94,15 +94,26 @@ func (m *Modem) NumBits(nsamples int) int {
 // 5, 7, 10, 14}, the recurrence only ever visits the table's 4S floats.
 // At other S rounding drifts, most samples miss and fall back to dsp.Cis,
 // so the samples are the same at every S.
-func (m *Modem) Modulate(bs []byte) dsp.Signal {
-	out := make(dsp.Signal, 0, m.NumSamples(len(bs)))
+func (m *Modem) Modulate(bs []byte) dsp.Signal { return m.ModulateInto(nil, bs) }
+
+// ModulateInto is Modulate writing the samples into dst's storage (grown
+// when too small). The samples are identical to Modulate's; the slice is
+// valid until the next call that reuses dst.
+//
+//anc:hotpath
+func (m *Modem) ModulateInto(dst dsp.Signal, bs []byte) dsp.Signal {
+	n := m.NumSamples(len(bs))
+	if cap(dst) < n {
+		dst = make(dsp.Signal, n)
+	}
+	out := dst[:n]
 	phase := 0.0
-	out = append(out, complex(m.amplitude, 0))
+	out[0] = complex(m.amplitude, 0)
 	var tab []cisEntry
 	if m.sps < len(cisTables) {
 		tab = cisTables[m.sps]
 	}
-	period, c := 4*m.sps, 0
+	period, c, i := 4*m.sps, 0, 1
 	for _, b := range bs {
 		d, dc := -m.step, period-1
 		if b&1 == 1 {
@@ -119,7 +130,8 @@ func (m *Modem) Modulate(bs []byte) dsp.Signal {
 			} else {
 				cis = dsp.Cis(phase)
 			}
-			out = append(out, complex(m.amplitude, 0)*cis)
+			out[i] = complex(m.amplitude, 0) * cis
+			i++
 		}
 	}
 	return out

@@ -63,14 +63,23 @@ func (n *Node) NextSeq() uint32 {
 	return n.seq
 }
 
-// BuildFrame marshals and modulates a packet and stores the sent record
-// in the node's Sent Packet Buffer (§7.3). The returned record carries
-// the samples to transmit; the buffer keeps only Packet and Bits (see
-// frame.SentRecord).
+// MarshalFrame marshals a packet for the node's modem and stores the
+// sent record in the node's Sent Packet Buffer (§7.3). It does not
+// modulate: the returned record has nil Samples, so a caller that owns
+// sample buffers can modulate Bits into one with Modem.ModulateInto.
+func (n *Node) MarshalFrame(pkt frame.Packet) frame.SentRecord {
+	rec := frame.SentRecord{Packet: pkt, Bits: frame.MarshalFor(pkt, n.Modem.BitsPerSymbol())}
+	n.buffer.Put(rec)
+	return rec
+}
+
+// BuildFrame is MarshalFrame followed by modulation into a new buffer.
+// The returned record carries the samples to transmit; the buffer keeps
+// only Packet and Bits (see frame.SentRecord).
 func (n *Node) BuildFrame(pkt frame.Packet) frame.SentRecord {
-	bs := frame.MarshalFor(pkt, n.Modem.BitsPerSymbol())
-	n.buffer.Put(frame.SentRecord{Packet: pkt, Bits: bs})
-	return frame.SentRecord{Packet: pkt, Bits: bs, Samples: n.Modem.Modulate(bs)}
+	rec := n.MarshalFrame(pkt)
+	rec.Samples = n.Modem.Modulate(rec.Bits)
+	return rec
 }
 
 // Remember stores an externally obtained record (a forwarded packet in

@@ -44,6 +44,35 @@ func TestBuildFrameStoresRecord(t *testing.T) {
 	}
 }
 
+// TestMarshalFrameRemembersWithoutModulating pins the split BuildFrame
+// is made of: MarshalFrame stores the record and returns BuildFrame's
+// bits with no samples, and modulating those bits gives BuildFrame's
+// samples.
+func TestMarshalFrameRemembersWithoutModulating(t *testing.T) {
+	n, m := mkNode(1), mkNode(1)
+	pkt := frame.NewPacket(1, 2, n.NextSeq(), []byte("data"))
+	rec := n.MarshalFrame(pkt)
+	if rec.Samples != nil {
+		t.Errorf("MarshalFrame modulated %d samples", len(rec.Samples))
+	}
+	if !n.Knows(pkt.Header) {
+		t.Error("marshaled packet not in buffer")
+	}
+	built := m.BuildFrame(pkt)
+	if string(rec.Bits) != string(built.Bits) {
+		t.Error("MarshalFrame bits differ from BuildFrame's")
+	}
+	samples := n.Modem.ModulateInto(nil, rec.Bits)
+	if len(samples) != len(built.Samples) {
+		t.Fatalf("%d samples from MarshalFrame's bits, %d from BuildFrame", len(samples), len(built.Samples))
+	}
+	for i := range built.Samples {
+		if samples[i] != built.Samples[i] {
+			t.Fatalf("sample %d: %v from MarshalFrame's bits, %v from BuildFrame", i, samples[i], built.Samples[i])
+		}
+	}
+}
+
 func TestNextSeqMonotone(t *testing.T) {
 	n := mkNode(1)
 	a, b, c := n.NextSeq(), n.NextSeq(), n.NextSeq()

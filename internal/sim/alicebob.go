@@ -79,8 +79,8 @@ func triggeredUplinks(e *Env, ai, ri, bi int) uplinks {
 	pktA := frame.NewPacket(alice.ID, bob.ID, alice.NextSeq(), e.payload())
 	pktB := frame.NewPacket(bob.ID, alice.ID, bob.NextSeq(), e.payload())
 	mac.MarkTrigger(&pktA.Header)
-	recA := alice.BuildFrame(pktA)
-	recB := bob.BuildFrame(pktB)
+	recA := e.buildFrame(alice, pktA)
+	recB := e.buildFrame(bob, pktB)
 
 	// One of the two (random) starts after the drawn delay.
 	delta := e.cfg.Delay.Draw(e.rng)
@@ -164,14 +164,14 @@ func stepAliceBobTraditional(e *Env, r Recorder, ai, ri, bi int) {
 
 // traditionalRelay delivers one packet src→relay→dst with two clean hops.
 func (e *Env) traditionalRelay(r Recorder, src, relay, dst *radio.Node, pkt frame.Packet, si, ri, di int) {
-	rec := src.BuildFrame(pkt)
+	rec := e.buildFrame(src, pkt)
 	r.RecordAirTime(float64(2 * (e.frameLen + e.guard)))
 	ok, payload := e.cleanHop(rec, si, ri)
 	if !ok {
 		r.RecordLost(1)
 		return
 	}
-	fwd := relay.BuildFrame(frame.Packet{Header: pkt.Header, Payload: payload})
+	fwd := e.buildFrame(relay, frame.Packet{Header: pkt.Header, Payload: payload})
 	ok, payload = e.cleanHop(fwd, ri, di)
 	if !ok {
 		r.RecordLost(1)
@@ -190,8 +190,8 @@ func stepAliceBobCOPE(e *Env, r Recorder, pool *cope.Pool, ai, ri, bi int) {
 
 	// Slots 1 and 2: the two uplinks.
 	r.RecordAirTime(float64(2 * (e.frameLen + e.guard)))
-	okA, gotA := e.cleanHop(alice.BuildFrame(pktA), ai, ri)
-	okB, gotB := e.cleanHop(bob.BuildFrame(pktB), bi, ri)
+	okA, gotA := e.cleanHop(e.buildFrame(alice, pktA), ai, ri)
+	okB, gotB := e.cleanHop(e.buildFrame(bob, pktB), bi, ri)
 	if okA {
 		pool.Put(frame.Packet{Header: pktA.Header, Payload: gotA})
 	}
@@ -214,7 +214,7 @@ func stepAliceBobCOPE(e *Env, r Recorder, pool *cope.Pool, ai, ri, bi int) {
 		return
 	}
 	r.RecordAirTime(float64(e.frameLen + e.guard))
-	rec := router.BuildFrame(coded)
+	rec := e.buildFrame(router, coded)
 	okToA, codedAtA := e.cleanHop(rec, ri, ai)
 	okToB, codedAtB := e.cleanHop(rec, ri, bi)
 	e.accountCOPEDecode(r, okToA, codedAtA, coded.Header, a.Payload, b.Payload)

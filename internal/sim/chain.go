@@ -41,11 +41,11 @@ func stepChainANC(e *Env, r Recorder, i int) {
 	// p_i: the packet N2 already forwarded to N3 (steady state). N2
 	// knows its bits; N3 retransmits the same frame.
 	pktOld := frame.NewPacket(n1.ID, n4.ID, uint32(1000+i*2), e.payload())
-	recOld := n3.BuildFrame(pktOld)
+	recOld := e.buildFrame(n3, pktOld)
 	n2.Remember(recOld)
 	// p_{i+1}: N1's fresh packet.
 	pktNew := frame.NewPacket(n1.ID, n4.ID, uint32(1000+i*2+1), e.payload())
-	recNew := n1.BuildFrame(pktNew)
+	recNew := e.buildFrame(n1, pktNew)
 
 	// Collision slot: N1→N2 and N3→N4 simultaneously; N2 hears both
 	// (N3 is adjacent), N4 hears only N3.
@@ -103,17 +103,17 @@ func stepChainTraditional(e *Env, r Recorder) {
 	pkt := frame.NewPacket(n1.ID, n4.ID, n1.NextSeq(), e.payload())
 	r.RecordAirTime(float64(3 * (e.frameLen + e.guard)))
 
-	ok, payload := e.cleanHop(n1.BuildFrame(pkt), topology.ChainN1, topology.ChainN2)
+	ok, payload := e.cleanHop(e.buildFrame(n1, pkt), topology.ChainN1, topology.ChainN2)
 	if !ok {
 		r.RecordLost(1)
 		return
 	}
-	ok, payload = e.cleanHop(n2.BuildFrame(frame.Packet{Header: pkt.Header, Payload: payload}), topology.ChainN2, topology.ChainN3)
+	ok, payload = e.cleanHop(e.buildFrame(n2, frame.Packet{Header: pkt.Header, Payload: payload}), topology.ChainN2, topology.ChainN3)
 	if !ok {
 		r.RecordLost(1)
 		return
 	}
-	ok, payload = e.cleanHop(n3.BuildFrame(frame.Packet{Header: pkt.Header, Payload: payload}), topology.ChainN3, topology.ChainN4)
+	ok, payload = e.cleanHop(e.buildFrame(n3, frame.Packet{Header: pkt.Header, Payload: payload}), topology.ChainN3, topology.ChainN4)
 	if !ok {
 		r.RecordLost(1)
 		return

@@ -84,9 +84,9 @@ func stepChainNANC(e *Env, r Recorder, n, i int) {
 	maxDeltaA, maxDeltaB := -1, -1
 	for j := 1; j <= n-3; j++ {
 		fresh := frame.NewPacket(src.ID, e.nodes[sink].ID, seq(2*j), e.payload())
-		recFresh := e.nodes[j-1].BuildFrame(fresh)
+		recFresh := e.buildFrame(e.nodes[j-1], fresh)
 		known := frame.NewPacket(src.ID, e.nodes[sink].ID, seq(2*j+1), e.payload())
-		recKnown := e.nodes[j+1].BuildFrame(known)
+		recKnown := e.buildFrame(e.nodes[j+1], known)
 		e.nodes[j].Remember(recKnown)
 
 		delta := e.cfg.Delay.Draw(e.rng)
@@ -133,7 +133,7 @@ func stepChainNANC(e *Env, r Recorder, n, i int) {
 	// The sink's reception: its upstream neighbor transmits with no one
 	// downstream to collide with.
 	last := frame.NewPacket(src.ID, e.nodes[sink].ID, seq(0), e.payload())
-	sinkOK, _ := e.cleanHop(e.nodes[n-2].BuildFrame(last), n-2, sink)
+	sinkOK, _ := e.cleanHop(e.buildFrame(e.nodes[n-2], last), n-2, sink)
 
 	if !ok || good == 0 || !sinkOK {
 		r.RecordLost(1)
@@ -163,7 +163,7 @@ func stepChainNTraditional(e *Env, r Recorder, n int) {
 	r.RecordAirTime(float64((n - 1) * (e.frameLen + e.guard)))
 
 	payload := pkt.Payload
-	rec := src.BuildFrame(pkt)
+	rec := e.buildFrame(src, pkt)
 	for hop := 0; hop+1 < n; hop++ {
 		ok, p := e.cleanHop(rec, hop, hop+1)
 		if !ok {
@@ -172,7 +172,7 @@ func stepChainNTraditional(e *Env, r Recorder, n int) {
 		}
 		payload = p
 		if hop+2 < n {
-			rec = e.nodes[hop+1].BuildFrame(frame.Packet{Header: pkt.Header, Payload: payload})
+			rec = e.buildFrame(e.nodes[hop+1], frame.Packet{Header: pkt.Header, Payload: payload})
 		}
 	}
 	r.RecordDelivered(float64(len(payload) * 8))

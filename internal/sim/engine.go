@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -15,16 +17,18 @@ import (
 	"repro/internal/radio"
 )
 
-// Scratch is the per-worker reusable storage of a campaign: a free list of
-// reception sample buffers plus one decoder Workspace shared by every node
-// of every run the worker executes. One run of the Alice–Bob exchange
-// synthesizes three receptions of ~frame-length complex-baseband samples
-// per packet; without reuse a multi-run campaign re-allocates (and
-// re-zeroes via GC) hundreds of megabytes of slices, and without the
-// shared workspace every decode re-allocates its profile/∆φ/bit buffers.
-// Each campaign worker owns one Scratch and reuses it across every run it
-// executes, so the steady state allocates no sample or decode buffers at
-// all.
+// Scratch is the per-worker reusable storage of a campaign: free lists of
+// reception and transmitted-frame sample buffers plus one decoder
+// Workspace shared by every node of every run the worker executes. One run
+// of the Alice–Bob exchange modulates two or more frames and synthesizes
+// three receptions of ~frame-length complex-baseband samples per packet;
+// without reuse a multi-run campaign re-allocates (and re-zeroes via GC)
+// hundreds of megabytes of slices, and without the shared workspace every
+// decode re-allocates its profile/∆φ/bit buffers. Each campaign worker
+// owns one Scratch and reuses it across every run it executes, so once
+// warmed the in-package scenarios allocate no sample or decode buffers.
+// Schedules that transmit through Node.BuildFrame (RunSIRPoint and
+// out-of-package scenarios) still allocate their frames' samples.
 //
 // A Scratch is not safe for concurrent use; the Engine gives each worker
 // its own.
@@ -32,11 +36,22 @@ type Scratch struct {
 	free []dsp.Signal
 	ws   *core.Workspace
 
+	// The frames transmitted in the current schedule slot, in build order
+	// (see Env.buildFrame), and the exact-length sample buffers of earlier
+	// slots' frames. runRecording moves every slot frame's buffer to
+	// freeFrames once the slot's step returns.
+	frames     []slotFrame
+	freeFrames []dsp.Signal
+
 	// batch is the slot decode burst (see slotBatch). sequentialDecodes
 	// forces the flush to call Decode per item instead of DecodeBatch —
 	// the hook the batched==sequential equivalence tests flip.
+	// poisonReleased overwrites every sample buffer with NaN as it returns
+	// to a free list — the hook that proves no schedule reads a frame or
+	// reception after releasing it.
 	batch             slotBatch
 	sequentialDecodes bool
+	poisonReleased    bool
 
 	// Per-run construction pool (see newEnv): the run RNG is reseeded,
 	// pooled nodes are Reset, the noise source is rewound and the Env
@@ -252,7 +267,81 @@ func (s *Scratch) give(b dsp.Signal) {
 	if cap(b) == 0 {
 		return
 	}
-	s.free = append(s.free, b[:cap(b)])
+	s.free = append(s.free, s.dead(b[:cap(b)]))
+}
+
+// dead marks a buffer released: with poisonReleased set every sample
+// becomes NaN, so a later read of it corrupts the output visibly.
+func (s *Scratch) dead(b dsp.Signal) dsp.Signal {
+	if s.poisonReleased {
+		nan := math.NaN()
+		for i := range b {
+			b[i] = complex(nan, nan)
+		}
+	}
+	return b
+}
+
+// slotFrame is one frame transmitted in the current slot: its bits and
+// the samples modulated from them.
+type slotFrame struct {
+	bits    []byte
+	samples dsp.Signal
+}
+
+// frameSamples returns the samples of frame bits bs under the run's modem
+// m for the current slot: those of a frame with byte-equal bits already
+// modulated this slot, else bs modulated into a pooled buffer.
+func (s *Scratch) frameSamples(m core.PhyModem, bs []byte) dsp.Signal {
+	for _, f := range s.frames {
+		if bytes.Equal(f.bits, bs) {
+			return f.samples
+		}
+	}
+	samples := m.ModulateInto(s.takeFrame(m.NumSamples(len(bs))), bs)
+	s.frames = append(s.frames, slotFrame{bits: bs, samples: samples})
+	return samples
+}
+
+// takeFrame returns a frame buffer of length n (contents undefined). Fresh
+// buffers are exactly n samples long: a run's frames all have one length,
+// so the list settles at as many buffers as the busiest slot sends.
+func (s *Scratch) takeFrame(n int) dsp.Signal {
+	for i, b := range s.freeFrames {
+		if cap(b) >= n {
+			last := len(s.freeFrames) - 1
+			s.freeFrames[i] = s.freeFrames[last]
+			s.freeFrames[last] = nil
+			s.freeFrames = s.freeFrames[:last]
+			return b[:n]
+		}
+	}
+	return make(dsp.Signal, n)
+}
+
+// shed drops the reception and frame buffers and the rotation tables, so
+// an idle Scratch keeps only its run-construction state (RNG, noise
+// source, modem, nodes and decoders, Env shell) and its decode workspace.
+// Only a collection empties the package pool of worker Scratches, and a
+// campaign allocates too little for collections to come often, so an
+// idle Scratch can outlive the gap between two ancserve jobs. Holding its
+// sample buffers through that gap raised serve-mixed's peak heap by about
+// a fifth; the next campaign rebuilds them in its first slots.
+func (s *Scratch) shed() {
+	clear(s.free)
+	clear(s.freeFrames)
+	s.free, s.freeFrames = s.free[:0], s.freeFrames[:0]
+	s.rots, s.nrots = nil, 0
+}
+
+// endSlot releases the slot's frames: their buffers return to the frame
+// free list and the next slot shares no samples with this one.
+func (s *Scratch) endSlot() {
+	for i := range s.frames {
+		s.freeFrames = append(s.freeFrames, s.dead(s.frames[i].samples))
+		s.frames[i] = slotFrame{}
+	}
+	s.frames = s.frames[:0]
 }
 
 // Engine runs scenarios: it owns the shared machinery every workload
@@ -374,6 +463,8 @@ func (eng *Engine) runRecording(ctx context.Context, sc Scenario, scheme Scheme,
 		e.graph.SetSlot(i)
 		e.graph.VisitLinkStates(i, emit)
 		st.Step(i, rec)
+		// The slot's frames were sent and decoded within the step.
+		e.scratch.endSlot()
 	}
 	return nil
 }
@@ -445,9 +536,11 @@ func WithWorkers(n int) StreamOption {
 
 // workerScratch holds the Scratches of finished campaign workers, so the
 // next campaign's workers (every ancserve job, a sharded run's shards)
-// start with grown buffers and rotation tables instead of empty ones.
-// Every pooled resource is reseeded, reset or overwritten per run, so a
-// pooled Scratch produces the same rows as a fresh one.
+// start with built nodes and decoders and a grown decode workspace
+// instead of empty ones. Every pooled resource is reseeded, reset or
+// overwritten per run, so a pooled Scratch produces the same rows as a
+// fresh one. A finished worker sheds its sample buffers before it returns
+// its Scratch (see Scratch.shed).
 var workerScratch = sync.Pool{New: func() any { return NewScratch() }}
 
 // campaignWindow bounds the rows in flight — executing, queued, or
@@ -514,7 +607,10 @@ func (eng *Engine) CampaignStream(sc Scenario, schemes []Scheme, seeds []int64, 
 		go func() {
 			defer wg.Done()
 			scratch := workerScratch.Get().(*Scratch)
-			defer workerScratch.Put(scratch)
+			defer func() {
+				scratch.shed()
+				workerScratch.Put(scratch)
+			}()
 			for idx := range next {
 				res := result{row: Row{Index: idx, Seed: seeds[idx], Metrics: make([]Metrics, len(schemes))}}
 				if cfg.trace {

@@ -322,6 +322,20 @@ func (e *Env) receive(txs ...channel.Transmission) dsp.Signal {
 	return rx
 }
 
+// buildFrame is n.BuildFrame with the samples owned by the worker's
+// Scratch: the node marshals the packet and remembers it in its Sent
+// Packet Buffer, and the samples come from the slot's frames. A frame
+// whose bits equal one already built this slot shares its samples — a
+// relay regenerating the frame it just decoded (§2) modulates nothing.
+// Every node of a run modulates with the run's modem, so equal bits mean
+// equal samples. The samples live until the slot's step returns
+// (runRecording releases them), so no schedule may keep them longer.
+func (e *Env) buildFrame(n *radio.Node, pkt frame.Packet) frame.SentRecord {
+	rec := n.MarshalFrame(pkt)
+	rec.Samples = e.scratch.frameSamples(e.modem, rec.Bits)
+	return rec
+}
+
 // release returns a reception buffer to the scratch pool. The decoder
 // does not retain reception samples past Decode, so releasing after the
 // slot's decodes is safe.

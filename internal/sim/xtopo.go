@@ -46,8 +46,8 @@ func stepXANC(e *Env, r Recorder) {
 	n1, n2, n3, n4 := e.nodes[topology.X1], e.nodes[topology.X2], e.nodes[topology.X3], e.nodes[topology.X4]
 	pkt1 := frame.NewPacket(n1.ID, n4.ID, n1.NextSeq(), e.payload()) // N1 → N4
 	pkt3 := frame.NewPacket(n3.ID, n2.ID, n3.NextSeq(), e.payload()) // N3 → N2
-	rec1 := n1.BuildFrame(pkt1)
-	rec3 := n3.BuildFrame(pkt3)
+	rec1 := e.buildFrame(n1, pkt1)
+	rec3 := e.buildFrame(n3, pkt3)
 
 	delta := e.cfg.Delay.Draw(e.rng)
 	d1, d3 := 0, delta
@@ -120,8 +120,8 @@ func stepXCOPE(e *Env, r Recorder) {
 	n1, n2, n3, n4, router := e.nodes[topology.X1], e.nodes[topology.X2], e.nodes[topology.X3], e.nodes[topology.X4], e.nodes[topology.XRouter]
 	pkt1 := frame.NewPacket(n1.ID, n4.ID, n1.NextSeq(), e.payload())
 	pkt3 := frame.NewPacket(n3.ID, n2.ID, n3.NextSeq(), e.payload())
-	rec1 := n1.BuildFrame(pkt1)
-	rec3 := n3.BuildFrame(pkt3)
+	rec1 := e.buildFrame(n1, pkt1)
+	rec3 := e.buildFrame(n3, pkt3)
 
 	// Slot 1: N1's uplink; N2 snoops it cleanly.
 	r.RecordAirTime(float64(e.frameLen + e.guard))
@@ -153,7 +153,7 @@ func stepXCOPE(e *Env, r Recorder) {
 
 	// Slot 3: XOR broadcast.
 	r.RecordAirTime(float64(e.frameLen + e.guard))
-	rec := router.BuildFrame(coded)
+	rec := e.buildFrame(router, coded)
 	okTo2, codedAt2 := e.cleanHop(rec, topology.XRouter, topology.X2)
 	okTo4, codedAt4 := e.cleanHop(rec, topology.XRouter, topology.X4)
 	var known2, known4 []byte
