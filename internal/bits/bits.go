@@ -46,16 +46,6 @@ func ToBytes(bs []byte) ([]byte, error) {
 	return out, nil
 }
 
-// MustToBytes is ToBytes for callers that construct the slice themselves
-// and can guarantee its shape; it panics on malformed input.
-func MustToBytes(bs []byte) []byte {
-	out, err := ToBytes(bs)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
 // FromUint16 returns the 16 bits of v, MSB first.
 func FromUint16(v uint16) []byte {
 	out := make([]byte, 16)
@@ -80,13 +70,6 @@ func ToUint16(bs []byte) uint16 {
 	return v
 }
 
-// FromUint32 returns the 32 bits of v, MSB first.
-func FromUint32(v uint32) []byte {
-	out := make([]byte, 32)
-	PutUint32(out, v)
-	return out
-}
-
 // PutUint32 writes v's 32 bits MSB-first into dst.
 func PutUint32(dst []byte, v uint32) {
 	for i := 0; i < 32; i++ {
@@ -102,20 +85,6 @@ func ToUint32(bs []byte) uint32 {
 		v = v<<1 | uint32(bs[i]&1)
 	}
 	return v
-}
-
-// Xor returns the element-wise XOR of equal-length bit slices a and b.
-// It panics if the lengths differ: XOR-combining packets of different sizes
-// is a framing error in the COPE baseline, never a recoverable condition.
-func Xor(a, b []byte) []byte {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("bits: xor length mismatch %d != %d", len(a), len(b)))
-	}
-	out := make([]byte, len(a))
-	for i := range a {
-		out[i] = (a[i] ^ b[i]) & 1
-	}
-	return out
 }
 
 // Reverse returns a new bit slice with the elements of bs in reverse order.

@@ -50,15 +50,6 @@ func TestToBytesRejectsNonBinary(t *testing.T) {
 	}
 }
 
-func TestMustToBytesPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustToBytes did not panic on bad length")
-		}
-	}()
-	MustToBytes([]byte{1})
-}
-
 func TestUint16RoundTrip(t *testing.T) {
 	f := func(v uint16) bool { return ToUint16(FromUint16(v)) == v }
 	if err := quick.Check(f, nil); err != nil {
@@ -67,28 +58,14 @@ func TestUint16RoundTrip(t *testing.T) {
 }
 
 func TestUint32RoundTrip(t *testing.T) {
-	f := func(v uint32) bool { return ToUint32(FromUint32(v)) == v }
+	f := func(v uint32) bool {
+		bs := make([]byte, 32)
+		PutUint32(bs, v)
+		return ToUint32(bs) == v
+	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestXorInvolution(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	a := randomBits(rng, 257)
-	b := randomBits(rng, 257)
-	if !Equal(Xor(Xor(a, b), b), a) {
-		t.Error("xor(xor(a,b),b) != a")
-	}
-}
-
-func TestXorPanicsOnLengthMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Xor did not panic on mismatched lengths")
-		}
-	}()
-	Xor([]byte{1}, []byte{1, 0})
 }
 
 func TestReverse(t *testing.T) {
@@ -267,7 +244,7 @@ func TestCRCAppendCheckRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 50; trial++ {
 		body := randomBits(rng, 1+rng.Intn(300))
-		framed := AppendCRC16(body)
+		framed := append(body, FromUint16(CRC16(body))...)
 		got, ok := CheckCRC16(framed)
 		if !ok {
 			t.Fatalf("trial %d: valid CRC rejected", trial)
@@ -281,7 +258,7 @@ func TestCRCAppendCheckRoundTrip(t *testing.T) {
 func TestCRCDetectsSingleBitErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	body := randomBits(rng, 200)
-	framed := AppendCRC16(body)
+	framed := append(body, FromUint16(CRC16(body))...)
 	for i := range framed {
 		corrupt := append([]byte(nil), framed...)
 		corrupt[i] ^= 1

@@ -30,10 +30,3 @@ func CheckCRC16(bs []byte) ([]byte, bool) {
 	want := ToUint16(bs[len(bs)-16:])
 	return body, CRC16(body) == want
 }
-
-// AppendCRC16 returns bs followed by its 16-bit checksum.
-func AppendCRC16(bs []byte) []byte {
-	out := make([]byte, 0, len(bs)+16)
-	out = append(out, bs...)
-	return append(out, FromUint16(CRC16(bs))...)
-}

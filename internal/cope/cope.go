@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/bits"
 	"repro/internal/frame"
 )
 
@@ -89,27 +88,4 @@ func (p *Pool) TakePair(srcA, dstA, srcB, dstB uint16) (frame.Packet, frame.Pack
 	p.byFlow[ka] = qa[1:]
 	p.byFlow[kb] = qb[1:]
 	return a, b, true
-}
-
-// Pending returns how many packets a flow has queued.
-func (p *Pool) Pending(src, dst uint16) int {
-	return len(p.byFlow[[2]uint16{src, dst}])
-}
-
-// VerifyRoundTrip is a convenience used by tests and examples: it checks
-// that b's payload XORed into a coded packet and decoded with a's payload
-// yields b again.
-func VerifyRoundTrip(router uint16, a, b frame.Packet) error {
-	coded, err := Encode(router, 1, a, b)
-	if err != nil {
-		return err
-	}
-	got, err := Decode(coded, a.Payload)
-	if err != nil {
-		return err
-	}
-	if !bits.Equal(got, b.Payload) {
-		return errors.New("cope: round trip mismatch")
-	}
-	return nil
 }

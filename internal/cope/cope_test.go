@@ -88,7 +88,7 @@ func TestPoolPairing(t *testing.T) {
 	if a.Header.Seq != 1 || b.Header.Seq != 7 {
 		t.Errorf("wrong packets paired: %v, %v", a.Header, b.Header)
 	}
-	if p.Pending(1, 2) != 0 || p.Pending(2, 1) != 0 {
+	if len(p.byFlow[[2]uint16{1, 2}]) != 0 || len(p.byFlow[[2]uint16{2, 1}]) != 0 {
 		t.Error("pool not drained")
 	}
 }
@@ -114,7 +114,15 @@ func TestVerifyRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := mkPacket(1, 2, 1, 128, rng)
 	b := mkPacket(2, 1, 2, 128, rng)
-	if err := VerifyRoundTrip(9, a, b); err != nil {
-		t.Error(err)
+	coded, err := Encode(9, 1, a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Decode(coded, a.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(b.Payload) {
+		t.Error("round trip mismatch")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	mathbits "math/bits"
 
-	"repro/internal/bits"
 	"repro/internal/dsp"
 )
 
@@ -14,16 +13,10 @@ import (
 // this tolerance is vanishingly unlikely (P < 1e-9 per offset).
 const DefaultPilotMaxErrors = 6
 
-// FindPilot scans a decoded bit stream for the network pilot sequence,
-// tolerating up to maxErrors bit errors, and returns the bit index where
-// the pilot begins, or -1. This is the matching process of Fig. 5: "she
-// tries to match the known pilot sequence with every sequence of 64 bits."
-func FindPilot(stream []byte, maxErrors int) int {
-	return FindPattern(stream, bits.Pilot(bits.PilotLength), maxErrors)
-}
-
 // FindPattern returns the first index where pattern occurs in stream with
-// at most maxErrors mismatches, or -1.
+// at most maxErrors mismatches, or -1. With the network pilot as pattern
+// this is the matching process of Fig. 5: "she tries to match the known
+// pilot sequence with every sequence of 64 bits."
 func FindPattern(stream, pattern []byte, maxErrors int) int {
 	idx, _ := FindPatternScored(stream, pattern, maxErrors)
 	return idx
@@ -121,18 +114,14 @@ func FindDiffAlignment(diffs []float64, exp []float64, lo, hi int) (offset int, 
 	return bestOff, bestScore
 }
 
-// ConjReverse returns the conjugated, time-reversed copy of a signal. The
-// transformation has the property that per-sample phase differences of the
-// output equal the input's differences in reverse order *without* sign
-// flip, so standard MSK demodulation of ConjReverse(s) yields the frame's
-// bits in reverse order. Backward decoding (§7.4) is therefore the forward
-// pipeline applied to ConjReverse of the reception.
-func ConjReverse(s dsp.Signal) dsp.Signal {
-	return ConjReverseInto(nil, s)
-}
-
-// ConjReverseInto is ConjReverse writing into dst's storage (grown when
-// too small). dst must not alias s.
+// ConjReverseInto writes the conjugated, time-reversed copy of s into
+// dst's storage (grown when too small) and returns it; dst must not alias
+// s. The transformation has the property that per-sample phase
+// differences of the output equal the input's differences in reverse
+// order *without* sign flip, so standard MSK demodulation of the copy
+// yields the frame's bits in reverse order. Backward decoding (§7.4) is
+// therefore the forward pipeline applied to the conjugate reverse of the
+// reception.
 func ConjReverseInto(dst dsp.Signal, s dsp.Signal) dsp.Signal {
 	dst = growSignal(&dst, len(s))
 	for i, v := range s {

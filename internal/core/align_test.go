@@ -14,7 +14,7 @@ func TestFindPilotExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	stream := append(randomBits(rng, 200), bits.Pilot(bits.PilotLength)...)
 	stream = append(stream, randomBits(rng, 100)...)
-	if got := FindPilot(stream, 0); got != 200 {
+	if got := FindPattern(stream, bits.Pilot(bits.PilotLength), 0); got != 200 {
 		t.Errorf("pilot at %d, want 200", got)
 	}
 }
@@ -27,10 +27,10 @@ func TestFindPilotWithErrors(t *testing.T) {
 		noisy[i] ^= 1
 	}
 	stream := append(randomBits(rng, 150), noisy...)
-	if got := FindPilot(stream, DefaultPilotMaxErrors); got != 150 {
+	if got := FindPattern(stream, pilot, DefaultPilotMaxErrors); got != 150 {
 		t.Errorf("pilot with 4 errors at %d, want 150", got)
 	}
-	if got := FindPilot(stream, 2); got != -1 {
+	if got := FindPattern(stream, pilot, 2); got != -1 {
 		t.Errorf("pilot found at %d despite tight tolerance", got)
 	}
 }
@@ -39,7 +39,7 @@ func TestFindPilotNoFalsePositives(t *testing.T) {
 	// 10k random bits should not contain a 64-bit pilot match at ≤6
 	// errors (probability < 1e-5).
 	rng := rand.New(rand.NewSource(3))
-	if got := FindPilot(randomBits(rng, 10000), DefaultPilotMaxErrors); got != -1 {
+	if got := FindPattern(randomBits(rng, 10000), bits.Pilot(bits.PilotLength), DefaultPilotMaxErrors); got != -1 {
 		t.Errorf("false pilot match at %d", got)
 	}
 }
@@ -166,9 +166,9 @@ func TestFindDiffAlignmentDegenerate(t *testing.T) {
 }
 
 func TestConjReverseDiffProperty(t *testing.T) {
-	// The per-sample phase differences of ConjReverse(s) must equal the
-	// forward differences reversed, with no sign flip — the property
-	// backward decoding (§7.4) rests on.
+	// The per-sample phase differences of the conjugate reverse of s must
+	// equal the forward differences reversed, with no sign flip — the
+	// property backward decoding (§7.4) rests on.
 	m := msk.New()
 	rng := rand.New(rand.NewSource(5))
 	in := randomBits(rng, 64)
@@ -177,7 +177,7 @@ func TestConjReverseDiffProperty(t *testing.T) {
 	for i := range fwd {
 		fwd[i] = dsp.PhaseDiff(s[i], s[i+1])
 	}
-	cr := ConjReverse(s)
+	cr := ConjReverseInto(nil, s)
 	for i := 0; i < len(cr)-1; i++ {
 		want := fwd[len(fwd)-1-i]
 		got := dsp.PhaseDiff(cr[i], cr[i+1])
@@ -191,18 +191,18 @@ func TestConjReverseDemodulatesReversedBits(t *testing.T) {
 	m := msk.New()
 	rng := rand.New(rand.NewSource(6))
 	in := randomBits(rng, 128)
-	got := m.Demodulate(ConjReverse(m.Modulate(in)))
+	got := m.Demodulate(ConjReverseInto(nil, m.Modulate(in)))
 	if !bits.Equal(got, bits.Reverse(in)) {
-		t.Error("ConjReverse demodulation is not the reversed bit stream")
+		t.Error("ConjReverseInto demodulation is not the reversed bit stream")
 	}
 }
 
 func TestConjReverseInvolution(t *testing.T) {
 	s := dsp.Signal{1 + 2i, -3i, 0.5}
-	got := ConjReverse(ConjReverse(s))
+	got := ConjReverseInto(nil, ConjReverseInto(nil, s))
 	for i := range s {
 		if got[i] != s[i] {
-			t.Error("ConjReverse is not an involution")
+			t.Error("ConjReverseInto is not an involution")
 		}
 	}
 }

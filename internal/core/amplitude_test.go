@@ -177,10 +177,10 @@ func TestEstimateAmplitudesOrderInvariance(t *testing.T) {
 
 func TestReconstructMatchesDefinition(t *testing.T) {
 	p := PhasePair{Theta: 0.5, Phi: -1.2}
-	got := Reconstruct(p, 2, 3)
+	got := reconstruct(p, 2, 3)
 	want := complex(2, 0)*cmplx.Exp(complex(0, 0.5)) + complex(3, 0)*cmplx.Exp(complex(0, -1.2))
 	if cmplx.Abs(got-want) > 1e-12 {
-		t.Errorf("Reconstruct = %v, want %v", got, want)
+		t.Errorf("reconstruct = %v, want %v", got, want)
 	}
 }
 

@@ -528,7 +528,7 @@ func (d *Decoder) decodeInterfered(ws *Workspace, rx dsp.Signal, det Detection, 
 	ws.known = knownDiffs
 	if backward {
 		// Conjugate time reversal reverses the per-sample difference
-		// sequence without negating it (see ConjReverse).
+		// sequence without negating it (see ConjReverseInto).
 		reverseFloats(knownDiffs)
 		// findHead locked where the reversed stream demodulates — for a
 		// constant-phase-per-symbol modem that is BackwardRefOffset

@@ -46,18 +46,12 @@ type Detection struct {
 	IStart, IEnd int
 }
 
-// Detect scans a reception window against a known noise floor (linear
+// DetectWith scans a reception window against a known noise floor (linear
 // power). It returns packet bounds from the energy profile and, if the
 // energy-variance criterion fires anywhere inside the packet, the bounds of
-// the interfered region.
-func Detect(rx dsp.Signal, noiseFloor float64, cfg DetectorConfig) Detection {
-	return DetectWith(nil, rx, noiseFloor, cfg)
-}
-
-// DetectWith is Detect drawing its moving-window state and energy/variance
-// profiles from a workspace (nil for fresh allocations). Both profiles are
-// filled in one pass over the reception; the resulting Detection is
-// identical to Detect's.
+// the interfered region. The moving-window state and the energy/variance
+// profiles come from a workspace (nil for fresh allocations); both profiles
+// are filled in one pass over the reception.
 func DetectWith(ws *Workspace, rx dsp.Signal, noiseFloor float64, cfg DetectorConfig) Detection {
 	if cfg.Window <= 0 || len(rx) < cfg.Window {
 		return Detection{}

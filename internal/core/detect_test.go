@@ -10,7 +10,7 @@ import (
 
 func TestDetectNothingInNoise(t *testing.T) {
 	ns := dsp.NewNoiseSource(0.001, 1)
-	det := Detect(ns.Samples(2000), 0.001, DefaultDetectorConfig(64))
+	det := DetectWith(nil, ns.Samples(2000), 0.001, DefaultDetectorConfig(64))
 	if det.Present {
 		t.Error("packet detected in pure noise")
 	}
@@ -22,7 +22,7 @@ func TestDetectCleanPacket(t *testing.T) {
 	sig := m.Modulate(randomBits(rng, 300)).Delay(500).PadTo(2500)
 	noise := dsp.NewNoiseSource(0.001, 3)
 	rx := noise.AddTo(sig)
-	det := Detect(rx, 0.001, DefaultDetectorConfig(64))
+	det := DetectWith(nil, rx, 0.001, DefaultDetectorConfig(64))
 	if !det.Present {
 		t.Fatal("packet not detected")
 	}
@@ -44,7 +44,7 @@ func TestDetectInterferedRegion(t *testing.T) {
 	a := m.Modulate(randomBits(rng, 600))             // samples [0, 2401)
 	b := m.Modulate(randomBits(rng, 600)).Delay(1000) // samples [1000, 3401)
 	rx := dsp.NewNoiseSource(0.0005, 5).AddTo(a.Add(b).PadTo(3600))
-	det := Detect(rx, 0.0005, DefaultDetectorConfig(64))
+	det := DetectWith(nil, rx, 0.0005, DefaultDetectorConfig(64))
 	if !det.Present || !det.Interfered {
 		t.Fatalf("detection = %+v, want present and interfered", det)
 	}
@@ -65,7 +65,7 @@ func TestDetectCleanAtOperatingSNR(t *testing.T) {
 	sig := m.Modulate(randomBits(rng, 1000)).Delay(300)
 	floor := dsp.FromDB(-25)
 	rx := dsp.NewNoiseSource(floor, 7).AddTo(sig.PadTo(len(sig) + 600))
-	det := Detect(rx, floor, DefaultDetectorConfig(128))
+	det := DetectWith(nil, rx, floor, DefaultDetectorConfig(128))
 	if !det.Present {
 		t.Fatal("packet not detected")
 	}
@@ -82,7 +82,7 @@ func TestDetectAsymmetricInterference(t *testing.T) {
 	b := msk.New(WithA(1.41)).Modulate(randomBits(rng, 500)).Delay(700)
 	floor := 0.001
 	rx := dsp.NewNoiseSource(floor, 9).AddTo(a.Add(b).PadTo(3100))
-	det := Detect(rx, floor, DefaultDetectorConfig(64))
+	det := DetectWith(nil, rx, floor, DefaultDetectorConfig(64))
 	if !det.Interfered {
 		t.Error("−3 dB SIR interference not detected")
 	}
@@ -91,7 +91,7 @@ func TestDetectAsymmetricInterference(t *testing.T) {
 func TestDetectZeroNoiseFloor(t *testing.T) {
 	m := msk.New()
 	sig := m.Modulate(randomBits(rand.New(rand.NewSource(10)), 200)).Delay(100).PadTo(1200)
-	det := Detect(sig, 0, DefaultDetectorConfig(64))
+	det := DetectWith(nil, sig, 0, DefaultDetectorConfig(64))
 	if !det.Present {
 		t.Error("noiseless packet not detected")
 	}
@@ -99,13 +99,13 @@ func TestDetectZeroNoiseFloor(t *testing.T) {
 
 func TestDetectDegenerateInputs(t *testing.T) {
 	cfg := DefaultDetectorConfig(64)
-	if det := Detect(make(dsp.Signal, 10), 0.1, cfg); det.Present {
+	if det := DetectWith(nil, make(dsp.Signal, 10), 0.1, cfg); det.Present {
 		t.Error("window longer than signal should detect nothing")
 	}
-	if det := Detect(nil, 0.1, cfg); det.Present {
+	if det := DetectWith(nil, nil, 0.1, cfg); det.Present {
 		t.Error("empty signal detected a packet")
 	}
-	if det := Detect(make(dsp.Signal, 100), 0.1, DetectorConfig{}); det.Present {
+	if det := DetectWith(nil, make(dsp.Signal, 100), 0.1, DetectorConfig{}); det.Present {
 		t.Error("zero window config detected a packet")
 	}
 }

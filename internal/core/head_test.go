@@ -124,7 +124,7 @@ func headSearches(rng *rand.Rand, m PhyModem, floor float64, det DetectorConfig)
 	noise := func() *dsp.NoiseSource { return dsp.NewNoiseSource(floor, rng.Int63()) }
 	var out []headSearch
 	add := func(kind string, rx dsp.Signal) {
-		d := Detect(rx, floor, det)
+		d := DetectWith(nil, rx, floor, det)
 		if d.Present {
 			out = append(out, headSearch{kind, rx, d.Start, headLimit(d, len(rx))})
 			if d.Interfered {
@@ -140,14 +140,14 @@ func headSearches(rng *rand.Rand, m PhyModem, floor float64, det DetectorConfig)
 		snr := rng.Float64() * 25
 		clean := channel.Receive(noise(), 200, channel.Transmission{Signal: frameSig(), Link: link(snr), Delay: rng.Intn(1500)})
 		add("clean", clean)
-		add("clean reversed", ConjReverse(clean))
+		add("clean reversed", ConjReverseInto(nil, clean))
 
 		a, b := frameSig(), frameSig()
 		mixed := channel.Receive(noise(), 200,
 			channel.Transmission{Signal: a, Link: link(snr), Delay: rng.Intn(300)},
 			channel.Transmission{Signal: b, Link: link(snr + rng.Float64()*6 - 3), Delay: 300 + minSep + rng.Intn(len(a)/2)})
 		add("interfered", mixed)
-		add("interfered reversed", ConjReverse(mixed))
+		add("interfered reversed", ConjReverseInto(nil, mixed))
 
 		out = append(out, headSearch{"noise", noise().Samples(2000 + rng.Intn(4000)), rng.Intn(500), 2000})
 	}

@@ -18,8 +18,6 @@ package core
 import (
 	"math"
 	"math/cmplx"
-
-	"repro/internal/dsp"
 )
 
 // PhasePair is one candidate solution (θ[n], φ[n]) for the phases of the
@@ -101,12 +99,4 @@ func swappedSolutions(y complex128, a, b float64, pp [2]PhasePair, cond, d float
 		return [2]PhasePair{{Theta: pp[1].Phi, Phi: pp[1].Theta}, {Theta: pp[0].Phi, Phi: pp[0].Theta}}, cond
 	}
 	return SolvePhases(y, b, a), cond2
-}
-
-// Reconstruct returns A·e^{iθ} + B·e^{iφ} for a candidate pair — the
-// inverse of SolvePhases, used by tests and diagnostics to confirm a
-// solution actually reproduces the observed sample.
-func Reconstruct(p PhasePair, a, b float64) complex128 {
-	return complex(a, 0)*dsp.Cis(p.Theta) +
-		complex(b, 0)*dsp.Cis(p.Phi)
 }

@@ -10,6 +10,13 @@ import (
 	"repro/internal/dsp"
 )
 
+// reconstruct returns A·e^{iθ} + B·e^{iφ} for a candidate pair — the
+// inverse of SolvePhases, which confirms a solution actually reproduces
+// the observed sample.
+func reconstruct(p PhasePair, a, b float64) complex128 {
+	return complex(a, 0)*dsp.Cis(p.Theta) + complex(b, 0)*dsp.Cis(p.Phi)
+}
+
 // phaseClose reports whether two angles agree modulo 2π.
 func phaseClose(a, b, tol float64) bool {
 	return math.Abs(dsp.WrapPhase(a-b)) <= tol
@@ -48,7 +55,7 @@ func TestSolvePhasesBothSolutionsReconstruct(t *testing.T) {
 		y := complex(a, 0)*cmplx.Exp(complex(0, rng.Float64()*7)) +
 			complex(b, 0)*cmplx.Exp(complex(0, rng.Float64()*7))
 		for i, s := range SolvePhases(y, a, b) {
-			if cmplx.Abs(Reconstruct(s, a, b)-y) > 1e-6 {
+			if cmplx.Abs(reconstruct(s, a, b)-y) > 1e-6 {
 				t.Fatalf("trial %d: solution %d does not reconstruct y", trial, i)
 			}
 		}
@@ -64,7 +71,7 @@ func TestSolvePhasesPairingConvention(t *testing.T) {
 	y := complex(a, 0)*cmplx.Exp(complex(0, theta)) + complex(b, 0)*cmplx.Exp(complex(0, phi))
 	sols := SolvePhases(y, a, b)
 	cross := PhasePair{Theta: sols[0].Theta, Phi: sols[1].Phi}
-	if cmplx.Abs(Reconstruct(cross, a, b)-y) < 1e-6 {
+	if cmplx.Abs(reconstruct(cross, a, b)-y) < 1e-6 {
 		t.Error("cross-paired solution unexpectedly reconstructs y")
 	}
 }
@@ -117,7 +124,7 @@ func TestSolvePhasesProperty(t *testing.T) {
 		phi := math.Mod(phiRaw, math.Pi)
 		y := complex(a, 0)*cmplx.Exp(complex(0, theta)) + complex(b, 0)*cmplx.Exp(complex(0, phi))
 		for _, s := range SolvePhases(y, a, b) {
-			if cmplx.Abs(Reconstruct(s, a, b)-y) > 1e-6*(a+b) {
+			if cmplx.Abs(reconstruct(s, a, b)-y) > 1e-6*(a+b) {
 				return false
 			}
 		}

@@ -109,16 +109,6 @@ func (s Signal) PadTo(n int) Signal {
 	return out
 }
 
-// Reverse returns the samples of s in reverse order. Bob's backward
-// decoding (§7.4) runs the receiver pipeline over the time-reversed stream.
-func (s Signal) Reverse() Signal {
-	out := make(Signal, len(s))
-	for i, v := range s {
-		out[len(s)-1-i] = v
-	}
-	return out
-}
-
 // Slice returns s[from:to] clamped to the valid range, as a copy. It never
 // panics: detectors routinely probe windows near the stream boundaries.
 func (s Signal) Slice(from, to int) Signal {
@@ -151,24 +141,6 @@ func (s Signal) View(from, to int) Signal {
 	return s[from:to]
 }
 
-// Phases returns arg(s[n]) for every sample.
-func (s Signal) Phases() []float64 {
-	out := make([]float64, len(s))
-	for i, v := range s {
-		out[i] = cmplx.Phase(v)
-	}
-	return out
-}
-
-// Magnitudes returns |s[n]| for every sample.
-func (s Signal) Magnitudes() []float64 {
-	out := make([]float64, len(s))
-	for i, v := range s {
-		out[i] = cmplx.Abs(v)
-	}
-	return out
-}
-
 // WrapPhase maps an angle to the interval (−π, π]. Every phase comparison
 // in the decoder wraps first; forgetting to do so turns a −π/2 symbol into
 // a 3π/2 "error" and flips the decision.
@@ -195,11 +167,6 @@ func PhaseDiff(a, b complex128) float64 {
 func Cis(x float64) complex128 {
 	s, c := math.Sincos(x)
 	return complex(c, s)
-}
-
-// DB converts a linear power ratio to decibels.
-func DB(ratio float64) float64 {
-	return 10 * math.Log10(ratio)
 }
 
 // FromDB converts decibels to a linear power ratio.

@@ -1,7 +1,5 @@
 package dsp
 
-import "math"
-
 // MovingStats computes mean and variance of per-sample energy |y[n]|² over
 // a sliding window. The packet detector and the interference detector of
 // §7.1 are both built on it: a packet begins where windowed energy rises
@@ -103,30 +101,6 @@ func (m *MovingStats) Rewindow(window int) {
 	m.Reset()
 }
 
-// EnergyProfile returns the windowed mean energy at every sample position
-// of s (the window trails the position). Positions before the window fills
-// use the partial window. Detectors scan this profile for thresholds.
-func EnergyProfile(s Signal, window int) []float64 {
-	m := NewMovingStats(window)
-	out := make([]float64, len(s))
-	for i, v := range s {
-		m.Push(v)
-		out[i] = m.Mean()
-	}
-	return out
-}
-
-// VarianceProfile returns the windowed energy variance at every position.
-func VarianceProfile(s Signal, window int) []float64 {
-	m := NewMovingStats(window)
-	out := make([]float64, len(s))
-	for i, v := range s {
-		m.Push(v)
-		out[i] = m.Variance()
-	}
-	return out
-}
-
 // Mean returns the arithmetic mean of xs (0 for empty input).
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -152,6 +126,3 @@ func Variance(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }

@@ -99,12 +99,15 @@ func TestEnergyProfileDetectsPacketEdge(t *testing.T) {
 	for i := 100; i < 200; i++ {
 		s[i] = 1
 	}
-	prof := EnergyProfile(s, 16)
-	if prof[50] > 0.01 {
-		t.Errorf("profile before edge = %v", prof[50])
-	}
-	if prof[150] < 0.9 {
-		t.Errorf("profile after edge = %v", prof[150])
+	m := NewMovingStats(16)
+	for i, v := range s {
+		m.Push(v)
+		if i == 50 && m.Mean() > 0.01 {
+			t.Errorf("windowed energy before edge = %v", m.Mean())
+		}
+		if i == 150 && m.Mean() < 0.9 {
+			t.Errorf("windowed energy after edge = %v", m.Mean())
+		}
 	}
 }
 
@@ -121,8 +124,20 @@ func TestVarianceProfileSeparatesCleanFromInterfered(t *testing.T) {
 		clean[i] = a
 		mixed[i] = a + b
 	}
-	vClean := Mean(VarianceProfile(clean, 32)[32:])
-	vMixed := Mean(VarianceProfile(mixed, 32)[32:])
+	// Mean windowed variance once the window is full.
+	meanVariance := func(s Signal) float64 {
+		m := NewMovingStats(32)
+		var sum float64
+		for i, v := range s {
+			m.Push(v)
+			if i >= 32 {
+				sum += m.Variance()
+			}
+		}
+		return sum / float64(len(s)-32)
+	}
+	vClean := meanVariance(clean)
+	vMixed := meanVariance(mixed)
 	if vClean > 1e-9 {
 		t.Errorf("clean MSK variance = %v, want ~0", vClean)
 	}
@@ -138,9 +153,6 @@ func TestMeanVarianceStdDev(t *testing.T) {
 	}
 	if got := Variance(xs); !approx(got, 4, 1e-12) {
 		t.Errorf("Variance = %v", got)
-	}
-	if got := StdDev(xs); !approx(got, 2, 1e-12) {
-		t.Errorf("StdDev = %v", got)
 	}
 	if Mean(nil) != 0 || Variance(nil) != 0 {
 		t.Error("empty-input stats not zero")

@@ -13,47 +13,13 @@ import (
 	"repro/internal/mac"
 	"repro/internal/msk"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // This file holds the ablation studies DESIGN.md commits to: they
 // quantify the design choices the reproduction makes beyond the paper's
 // letter — the matcher refinements, the amplitude estimator, the
 // subtraction strawman §6 rejects, and the overlap/throughput trade-off.
-
-// runTally is the ablations' Recorder: streaming aggregates only — BER
-// sum/count, goodput, air time, losses — with none of the per-packet
-// pools Metrics retains, so an ablation sweep's memory is O(1) however
-// many runs it spans. It is also the minimal example of the Recorder
-// contract: consume the typed observations, keep only what the analysis
-// needs.
-type runTally struct {
-	deliveredBits float64
-	timeSamples   float64
-	berSum        float64
-	berN          int
-	lost          int
-}
-
-func (t *runTally) RecordDelivered(bits float64)           { t.deliveredBits += bits }
-func (t *runTally) RecordLost(n int)                       { t.lost += n }
-func (t *runTally) RecordANCDecode(ber float64)            { t.berSum += ber; t.berN++ }
-func (t *runTally) RecordCollision(float64)                {}
-func (t *runTally) RecordAirTime(samples float64)          { t.timeSamples += samples }
-func (t *runTally) RecordLinkState(int, int, int, float64) {}
-
-func (t *runTally) throughput() float64 {
-	if t.timeSamples == 0 {
-		return 0
-	}
-	return t.deliveredBits / t.timeSamples
-}
-
-func (t *runTally) meanBER() float64 {
-	if t.berN == 0 {
-		return 0
-	}
-	return t.berSum / float64(t.berN)
-}
 
 // AblationMatcher measures the Alice–Bob BER with each matcher refinement
 // disabled in turn, against the full decoder. The refinements are this
@@ -83,13 +49,24 @@ func AblationMatcher(opts Options) string {
 		cfg := opts.Sim
 		cfg.DecoderTweak = v.tweak
 		eng := sim.NewEngine(cfg)
-		var tally runTally
+		// One running BER sum over every decode of every run.
+		var berSum, meanBER float64
+		var decodes, lost int
 		for run := 0; run < opts.Runs; run++ {
-			if err := eng.RunRecording(sim.AliceBob(), sim.SchemeANC, opts.Seed+int64(run)*127, &tally, scratch); err != nil {
+			var m sim.Metrics
+			if err := eng.RunRecording(sim.AliceBob(), sim.SchemeANC, opts.Seed+int64(run)*127, &m, scratch); err != nil {
 				panic(err)
 			}
+			for _, ber := range m.BERs {
+				berSum += ber
+			}
+			decodes += len(m.BERs)
+			lost += m.Lost
 		}
-		fmt.Fprintf(&b, "%-28s %-12.5f %d\n", v.name, tally.meanBER(), tally.lost)
+		if decodes > 0 {
+			meanBER = berSum / float64(decodes)
+		}
+		fmt.Fprintf(&b, "%-28s %-12.5f %d\n", v.name, meanBER, lost)
 	}
 	return b.String()
 }
@@ -221,15 +198,15 @@ func AblationOverlap(opts Options) string {
 		var gain, ber float64
 		for run := 0; run < opts.Runs; run++ {
 			seed := opts.Seed + int64(run)*31
-			var a, t runTally
+			var a, t sim.Metrics
 			if err := eng.RunRecording(sim.AliceBob(), sim.SchemeANC, seed, &a, scratch); err != nil {
 				panic(err)
 			}
 			if err := eng.RunRecording(sim.AliceBob(), sim.SchemeRouting, seed, &t, scratch); err != nil {
 				panic(err)
 			}
-			gain += a.throughput() / t.throughput()
-			ber += a.meanBER()
+			gain += stats.GainRatio(a.Throughput(), t.Throughput())
+			ber += a.MeanBER()
 		}
 		fmt.Fprintf(&b, "%-14.2f %-14.3f %.5f\n", target, gain/float64(opts.Runs), ber/float64(opts.Runs))
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -90,6 +91,24 @@ func TestAblationOverlapPeak(t *testing.T) {
 	}
 	if at95 > at80/2 {
 		t.Errorf("over-aggressive overlap should collapse: %.3f at 95%%", at95)
+	}
+}
+
+// TestAblationOverlapZeroBaseline pins the sweep at an SNR where routing
+// delivers nothing: every gain reads as a finite number (stats.GainRatio
+// makes a zero baseline a zero gain), never NaN.
+func TestAblationOverlapZeroBaseline(t *testing.T) {
+	out := AblationOverlap(Options{Runs: 2, Sim: sim.Config{Packets: 3, SNRdB: sim.Ptr(3)}, Seed: 1})
+	lines := dataLines(out)
+	if len(lines) != 7 {
+		t.Fatalf("want 7 overlap rows:\n%s", out)
+	}
+	for _, l := range lines {
+		var o, g, b float64
+		parseRow(t, l, &o, &g, &b)
+		if math.IsNaN(g) || math.IsInf(g, 0) {
+			t.Errorf("overlap %.2f: gain %v, want a finite number:\n%s", o, g, out)
+		}
 	}
 }
 

@@ -161,21 +161,21 @@ func campaignSeeds(opts Options) []int64 {
 	return seeds
 }
 
-// runCampaign pairs ANC runs against the scenario's baselines on
-// identical seeds (identical channel realizations) through the scenario
-// engine's streaming worker pool: rows feed the gain/BER/overlap pools
-// as they arrive, so the campaign holds O(workers) rows however many
-// runs it spans. The gain-over-routing framing requires the scenario to
-// support at least ANC and routing.
-func runCampaign(opts Options, sc sim.Scenario) (*GainResult, error) {
-	opts = opts.withDefaults()
-	plan, err := planSchemes(sc, opts.Schemes)
+// ScenarioCampaign runs the ANC-versus-baselines campaign for any
+// registered scenario (ancsim -scenario=<name>): runs paired on
+// identical seeds (identical channel realizations) through the campaign
+// row loop every output format shares, with each rendered row feeding
+// the exact gain/BER/overlap pools as it arrives, so the campaign holds
+// O(workers) rows however many runs it spans.
+func ScenarioCampaign(opts Options, name string) (*GainResult, error) {
+	c, err := newCampaignContext(StreamOptions{Options: opts}, name)
 	if err != nil {
 		return nil, err
 	}
+	plan := c.plan
 	res := &GainResult{
-		Topology:   sc.Name(),
-		Modem:      sim.EffectiveModemName(sc, opts.Sim),
+		Topology:   c.header.Scenario,
+		Modem:      c.header.Modem,
 		Schemes:    plan.schemes,
 		Throughput: make([]*stats.Sample, len(plan.schemes)),
 	}
@@ -192,29 +192,27 @@ func runCampaign(opts Options, sc sim.Scenario) (*GainResult, error) {
 			res.GainOverCOPE = stats.NewSample(nil)
 		}
 	}
-	sink := sim.SinkFunc(func(row sim.Row) error {
-		for j, m := range row.Metrics {
-			res.Throughput[j].Add(m.Throughput())
+	_, err = c.run(nil, sim.SeedRange{Hi: len(c.seeds)}, func(_ sim.Row, r CampaignRow) error {
+		for j, sr := range r.Schemes {
+			res.Throughput[j].Add(sr.Throughput)
 		}
-		if plan.anc < 0 {
-			return nil
+		if r.GainOverRouting != nil {
+			res.GainOverTrad.Add(*r.GainOverRouting)
 		}
-		a := row.Metrics[plan.anc]
-		if res.GainOverTrad != nil {
-			res.GainOverTrad.Add(stats.GainRatio(a.Throughput(), row.Metrics[plan.routing].Throughput()))
+		if r.GainOverCOPE != nil {
+			res.GainOverCOPE.Add(*r.GainOverCOPE)
 		}
-		if res.GainOverCOPE != nil {
-			res.GainOverCOPE.Add(stats.GainRatio(a.Throughput(), row.Metrics[plan.cope].Throughput()))
-		}
-		for _, b := range a.BERs {
-			res.BER.Add(b)
-		}
-		for _, ov := range a.Overlaps {
-			res.Overlap.Add(ov)
+		if plan.anc >= 0 {
+			for _, b := range r.Schemes[plan.anc].BERs {
+				res.BER.Add(b)
+			}
+			for _, ov := range r.Schemes[plan.anc].Overlaps {
+				res.Overlap.Add(ov)
+			}
 		}
 		return nil
 	})
-	if err := sim.NewEngine(opts.Sim).CampaignStream(sc, plan.schemes, campaignSeeds(opts), sink, streamOpts(nil, false, opts.Workers)...); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -223,21 +221,11 @@ func runCampaign(opts Options, sc sim.Scenario) (*GainResult, error) {
 // mustCampaign backs the fixed Fig* campaigns, whose paper scenarios
 // statically support ANC and routing.
 func mustCampaign(opts Options, sc sim.Scenario) *GainResult {
-	res, err := runCampaign(opts, sc)
+	res, err := ScenarioCampaign(opts, sc.Name())
 	if err != nil {
 		panic(err)
 	}
 	return res
-}
-
-// ScenarioCampaign runs the ANC-versus-baselines campaign for any
-// registered scenario (ancsim -scenario=<name>).
-func ScenarioCampaign(opts Options, name string) (*GainResult, error) {
-	sc, ok := sim.LookupScenario(name)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown scenario %q", name)
-	}
-	return runCampaign(opts, sc)
 }
 
 // Fig9 reproduces the Alice–Bob campaign: Fig. 9(a) (CDF of throughput

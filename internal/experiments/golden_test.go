@@ -174,3 +174,19 @@ func TestGoldenClosedLoop(t *testing.T) {
 	}
 	compareGolden(t, "closed-loop.rayleigh.golden", gainSeries(res))
 }
+
+// TestGoldenAblation pins the two ablation tables that run on the
+// engine: the matcher variants' BER and loss, and the overlap sweep's
+// gains. Both fold per-run metrics into table rows by hand, so the file
+// guards that accounting the way the figure goldens guard the campaigns.
+// At 18 dB runs lose packets and decode different counts, which pins
+// the loss tally and the BER mean pooled over every decode.
+func TestGoldenAblation(t *testing.T) {
+	var b strings.Builder
+	for _, snr := range []float64{25, 18} {
+		opts := goldenOpts()
+		opts.Sim.SNRdB = sim.Ptr(snr)
+		b.WriteString(AblationMatcher(opts) + AblationOverlap(opts))
+	}
+	compareGolden(t, "ablation.golden", b.String())
+}

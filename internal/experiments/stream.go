@@ -35,15 +35,6 @@ type StreamOptions struct {
 	// Trace runs every scheme under a sim.TraceRecorder and attaches
 	// per-link outage statistics (JSON only).
 	Trace bool
-	// OutageThresholdDB overrides DefaultOutageThresholdDB when positive.
-	OutageThresholdDB float64
-}
-
-func (o StreamOptions) outageDB() float64 {
-	if o.OutageThresholdDB > 0 {
-		return o.OutageThresholdDB
-	}
-	return DefaultOutageThresholdDB
 }
 
 // campaignHeader is the metadata block opening the JSON document.
@@ -156,7 +147,7 @@ func newCampaignPools(plan campaignPlan) *campaignPools {
 }
 
 // observe feeds one rendered row into the pools.
-func (p *campaignPools) observe(plan campaignPlan, row sim.Row, r CampaignRow) {
+func (p *campaignPools) observe(plan campaignPlan, r CampaignRow) {
 	if p.gainRouting != nil && r.GainOverRouting != nil {
 		p.gainRouting.Add(*r.GainOverRouting)
 	}
@@ -164,10 +155,10 @@ func (p *campaignPools) observe(plan campaignPlan, row sim.Row, r CampaignRow) {
 		p.gainCOPE.Add(*r.GainOverCOPE)
 	}
 	if plan.anc >= 0 {
-		for _, b := range row.Metrics[plan.anc].BERs {
+		for _, b := range r.Schemes[plan.anc].BERs {
 			p.ber.Add(b)
 		}
-		for _, ov := range row.Metrics[plan.anc].Overlaps {
+		for _, ov := range r.Schemes[plan.anc].Overlaps {
 			p.overlap.Add(ov)
 		}
 	}
@@ -231,14 +222,16 @@ func effectiveFadingKind(sc sim.Scenario, cfg sim.Config) string {
 	return cfg.Topology.Fading.Kind.String()
 }
 
-// campaignContext is the resolved machinery one streamed campaign shares
-// between its formats.
+// campaignContext is the resolved machinery one campaign shares between
+// its formats: every writer, text included, runs its rows through run.
 type campaignContext struct {
-	sc     sim.Scenario
-	plan   campaignPlan
-	seeds  []int64
-	eng    *sim.Engine
-	header campaignHeader
+	sc      sim.Scenario
+	plan    campaignPlan
+	seeds   []int64
+	eng     *sim.Engine
+	header  campaignHeader
+	trace   bool
+	workers int
 }
 
 func newCampaignContext(opts StreamOptions, name string) (*campaignContext, error) {
@@ -267,21 +260,48 @@ func newCampaignContext(opts StreamOptions, name string) (*campaignContext, erro
 		Fading:        effectiveFadingKind(sc, simCfg),
 	}
 	if opts.Trace {
-		hdr.OutageThresholdDB = opts.outageDB()
+		hdr.OutageThresholdDB = DefaultOutageThresholdDB
 	}
 	return &campaignContext{
-		sc:     sc,
-		plan:   plan,
-		seeds:  campaignSeeds(opts.Options),
-		eng:    sim.NewEngine(opts.Sim),
-		header: hdr,
+		sc:      sc,
+		plan:    plan,
+		seeds:   campaignSeeds(opts.Options),
+		eng:     sim.NewEngine(opts.Sim),
+		header:  hdr,
+		trace:   opts.Trace,
+		workers: opts.Workers,
 	}, nil
 }
 
-// renderRow converts one streamed sim.Row into its machine-readable form.
-func (c *campaignContext) renderRow(opts StreamOptions, row sim.Row) CampaignRow {
+// run streams the campaign's runs in rows, in order. Each row is rendered
+// once, numbered by its global run index, and folded into the summary
+// pools before emit sees it; an emit error stops the campaign. A nil ctx
+// streams without cancellation.
+func (c *campaignContext) run(ctx context.Context, rows sim.SeedRange, emit func(sim.Row, CampaignRow) error) (*campaignPools, error) {
+	opts := []sim.StreamOption{sim.WithWorkers(c.workers)}
+	if ctx != nil {
+		opts = append(opts, sim.WithContext(ctx))
+	}
+	if c.trace {
+		opts = append(opts, sim.WithLinkTraces())
+	}
+	pools := newCampaignPools(c.plan)
+	sink := sim.SinkFunc(func(row sim.Row) error {
+		r := c.renderRow(rows.Lo+row.Index, row)
+		pools.observe(c.plan, r)
+		return emit(row, r)
+	})
+	if err := c.eng.CampaignStream(c.sc, c.plan.schemes, c.seeds[rows.Lo:rows.Hi], sink, opts...); err != nil {
+		return nil, err
+	}
+	return pools, nil
+}
+
+// renderRow converts one streamed sim.Row, global run index run, into its
+// machine-readable form.
+func (c *campaignContext) renderRow(run int, row sim.Row) CampaignRow {
 	out := CampaignRow{
-		Run:     row.Index,
+		Run:     run,
 		Seed:    row.Seed,
 		Modem:   c.header.Modem,
 		Schemes: make([]SchemeResult, len(row.Metrics)),
@@ -312,7 +332,7 @@ func (c *campaignContext) renderRow(opts StreamOptions, row sim.Row) CampaignRow
 	if row.Traces != nil {
 		// Every scheme of a seed shares the channel realization, so the
 		// first scheme's trace stands for the row.
-		thresh := math.Pow(10, -opts.outageDB()/10)
+		thresh := math.Pow(10, -DefaultOutageThresholdDB/10)
 		for _, tr := range row.Traces[0].Traces() {
 			s := tr.GainSample()
 			mean := s.Mean()
@@ -326,22 +346,6 @@ func (c *campaignContext) renderRow(opts StreamOptions, row sim.Row) CampaignRow
 				FadeMarginP5DB: s.FadeMarginDB(0.05),
 			})
 		}
-	}
-	return out
-}
-
-// streamOpts returns the CampaignStream options the context needs. A
-// nil ctx streams without cancellation.
-func streamOpts(ctx context.Context, trace bool, workers int) []sim.StreamOption {
-	var out []sim.StreamOption
-	if ctx != nil {
-		out = append(out, sim.WithContext(ctx))
-	}
-	if trace {
-		out = append(out, sim.WithLinkTraces())
-	}
-	if workers > 0 {
-		out = append(out, sim.WithWorkers(workers))
 	}
 	return out
 }
@@ -419,17 +423,14 @@ func WriteCampaignJSON(w io.Writer, opts StreamOptions, name string) error {
 	if err := doc.open(c.header); err != nil {
 		return err
 	}
-	pools := newCampaignPools(c.plan)
-	sink := sim.SinkFunc(func(row sim.Row) error {
-		r := c.renderRow(opts, row)
-		pools.observe(c.plan, row, r)
+	pools, err := c.run(nil, sim.SeedRange{Hi: len(c.seeds)}, func(_ sim.Row, r CampaignRow) error {
 		b, err := json.Marshal(r)
 		if err != nil {
 			return err
 		}
 		return doc.row(b)
 	})
-	if err := c.eng.CampaignStream(c.sc, c.plan.schemes, c.seeds, sink, streamOpts(nil, opts.Trace, opts.Workers)...); err != nil {
+	if err != nil {
 		return err
 	}
 	return doc.close(pools.summary())
@@ -437,8 +438,10 @@ func WriteCampaignJSON(w io.Writer, opts StreamOptions, name string) error {
 
 // WriteCampaignCSV streams a registered scenario's campaign as a CSV
 // table, one row per seed: the per-scheme aggregates plus the paired
-// gains. Pools and traces do not fit a flat table; use JSON for those.
+// gains. Pools and traces do not fit a flat table; use JSON for those —
+// the campaign runs untraced whatever opts.Trace says.
 func WriteCampaignCSV(w io.Writer, opts StreamOptions, name string) error {
+	opts.Trace = false
 	c, err := newCampaignContext(opts, name)
 	if err != nil {
 		return err
@@ -460,8 +463,7 @@ func WriteCampaignCSV(w io.Writer, opts StreamOptions, name string) error {
 		}
 		return f(*v)
 	}
-	sink := sim.SinkFunc(func(row sim.Row) error {
-		r := c.renderRow(opts, row)
+	_, err = c.run(nil, sim.SeedRange{Hi: len(c.seeds)}, func(row sim.Row, r CampaignRow) error {
 		rec := []string{
 			strconv.Itoa(r.Run),
 			strconv.FormatInt(r.Seed, 10),
@@ -480,7 +482,7 @@ func WriteCampaignCSV(w io.Writer, opts StreamOptions, name string) error {
 		}
 		return cw.Write(rec)
 	})
-	if err := c.eng.CampaignStream(c.sc, c.plan.schemes, c.seeds, sink, streamOpts(nil, false, opts.Workers)...); err != nil {
+	if err != nil {
 		return err
 	}
 	cw.Flush()

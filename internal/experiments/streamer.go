@@ -20,7 +20,6 @@ import (
 // shard coordinates), so an invalid campaign fails before any run
 // starts — the admission-control property a job queue needs.
 type Streamer struct {
-	opts   StreamOptions
 	c      *campaignContext
 	shard  int
 	shards int
@@ -42,7 +41,6 @@ func NewStreamer(opts StreamOptions, name string, shard, shards int) (*Streamer,
 		return nil, err
 	}
 	return &Streamer{
-		opts:   opts,
 		c:      c,
 		shard:  shard,
 		shards: shards,
@@ -73,20 +71,13 @@ func (s *Streamer) Modem() string { return s.c.header.Modem }
 // ctx streams without cancellation; a canceled ctx stops the campaign
 // cleanly with ctx.Err() (see sim.WithContext).
 func (s *Streamer) Stream(ctx context.Context, emit func(line []byte) error) error {
-	pools := newCampaignPools(s.c.plan)
-	sink := sim.SinkFunc(func(row sim.Row) error {
-		out := s.c.renderRow(s.opts, row)
-		// renderRow numbers from the slice start; lift to the global index.
-		out.Run = s.r.Lo + row.Index
-		pools.observe(s.c.plan, row, out)
-		b, err := json.Marshal(out)
+	pools, err := s.c.run(ctx, s.r, func(_ sim.Row, r CampaignRow) error {
+		b, err := json.Marshal(r)
 		if err != nil {
 			return err
 		}
 		return emit(b)
 	})
-	err := s.c.eng.CampaignStream(s.c.sc, s.c.plan.schemes, s.c.seeds[s.r.Lo:s.r.Hi], sink,
-		streamOpts(ctx, s.opts.Trace, s.opts.Workers)...)
 	if err != nil {
 		return err
 	}

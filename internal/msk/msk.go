@@ -240,17 +240,12 @@ func (m *Modem) DemodulateSettledInto(scratch *dsp.Scratch, dst []byte, s dsp.Si
 	return out, n
 }
 
-// SoftDemodulate returns the per-symbol accumulated phase difference (in
-// radians, nominally ±π/2). Values near 0 indicate low-confidence symbols.
-// The per-sample differences telescope, so this carries no oversampling
-// averaging gain; it exists for diagnostics and as the S=1 demodulator.
-// Demodulate's MLSE path is the production detector for S > 1.
-func (m *Modem) SoftDemodulate(s dsp.Signal) []float64 {
-	return m.softDemodulateInto(make([]float64, m.NumBits(len(s))), s)
-}
-
 // softDemodulateInto fills out (whose length sets the symbol count) with
-// the per-symbol accumulated phase differences.
+// the per-symbol accumulated phase difference (in radians, nominally
+// ±π/2); values near 0 indicate low-confidence symbols. The per-sample
+// differences telescope, so this carries no oversampling averaging gain;
+// it is the S=1 demodulator, and Demodulate's MLSE path is the production
+// detector for S > 1.
 //
 //anc:hotpath
 func (m *Modem) softDemodulateInto(out []float64, s dsp.Signal) []float64 {

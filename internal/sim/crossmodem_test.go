@@ -113,9 +113,8 @@ func TestScenarioModemPreferenceMatchesExplicit(t *testing.T) {
 }
 
 // TestDirectSurfacesRejectUnknownModem pins the failure mode of the
-// construction surfaces that bypass the Engine (RunSIRPoint,
-// FrameSamples): a typo'd Config.Modem must fail loudly, never
-// silently run the default PHY.
+// surfaces that return no error (SIRSweep, FrameSamples): a typo'd
+// Config.Modem must fail loudly, never silently run the default PHY.
 func TestDirectSurfacesRejectUnknownModem(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		defer func() {
@@ -125,7 +124,7 @@ func TestDirectSurfacesRejectUnknownModem(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("RunSIRPoint", func() { RunSIRPoint(Config{Packets: 1, Modem: "warp"}, 1, 0) })
+	mustPanic("SIRSweep", func() { SIRSweep(Config{Packets: 1, Modem: "warp"}, 1, 0, 0, 1) })
 	mustPanic("FrameSamples", func() { Config{Modem: "warp"}.FrameSamples() })
 }
 

@@ -27,8 +27,8 @@ import (
 // decode re-allocates its profile/∆φ/bit buffers. Each campaign worker
 // owns one Scratch and reuses it across every run it executes, so once
 // warmed the in-package scenarios allocate no sample or decode buffers.
-// Schedules that transmit through Node.BuildFrame (RunSIRPoint and
-// out-of-package scenarios) still allocate their frames' samples.
+// Out-of-package scenarios, which transmit through Node.BuildFrame, still
+// allocate their frames' samples.
 //
 // A Scratch is not safe for concurrent use; the Engine gives each worker
 // its own.

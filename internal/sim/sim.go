@@ -151,9 +151,9 @@ func (c Config) withDefaults() Config {
 // modem resolves the configured modem name ("" = phy.Default) to an
 // instance. Unregistered names panic with the registry enumerated: the
 // Engine and the CLI validate up front and turn this into a proper
-// error, and the direct construction surfaces (RunSIRPoint,
-// FrameSamples, newEnv) must fail loudly rather than silently run the
-// default PHY under a typo'd name.
+// error, and the direct construction surfaces (FrameSamples, newEnv)
+// must fail loudly rather than silently run the default PHY under a
+// typo'd name.
 func (c Config) modem() phy.Modem {
 	name := c.Modem
 	if name == "" {
