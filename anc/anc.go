@@ -66,6 +66,8 @@ type PhyModem = core.PhyModem
 // scratch, so steady-state decodes allocate nothing. ModulateInto must
 // return Modulate's samples whatever dst holds: the engine modulates
 // every frame into a pooled buffer that still holds an earlier frame.
+// StepPrior must be a distance, ≥ 0 for every dphi (or NaN): the
+// interference matcher skips candidates on the strength of it.
 //
 // DemodulateSettledInto must not overstate how many bits are settled:
 // for every longer signal that starts with s, the first settled bits

@@ -26,8 +26,7 @@ type BatchResult struct {
 // what the batch amortizes is the per-reception setup: each distinct
 // workspace is prepared once at the batch's largest reception length
 // (profile and decision-bit scratch carved contiguously from its arena,
-// see Workspace.prepareBatch) and the detector's moving window is re-wound
-// once and only reset between receptions.
+// see Workspace.prepareBatch).
 //
 // The typical burst — one simulation slot's receptions decoded by nodes
 // sharing a worker's workspace — prepares exactly once. Items with

@@ -751,36 +751,61 @@ func (d *Decoder) extractDiffs(ws *Workspace, rx dsp.Signal, est AmplitudeEstima
 // whose known-signal phase difference best matches the transmitted one kd
 // (Eq. 8), writes the wanted signal's ∆φ and its weight at n, and moves
 // the matcher on to sample n+1's solutions cur.
+//
+// Candidate (x, y) pairs sample n+1's branch x with sample n's branch y.
+// Its cost is the mismatch e of the known signal's phase difference
+// (Eq. 8), plus a prior that the wanted difference must itself be a
+// legal per-sample step of the modulation, plus a small penalty for
+// switching branches. The prior is symmetric in sign so it cannot bias
+// the bit decision; it only rejects mirror-branch artifacts. The penalty
+// prefers re-selecting the previous sample's branch: the physical
+// configuration (which side of y the known vector lies) evolves
+// continuously, so branch flips should be rare.
+//
+// The result is that of a scan over the four candidates in (x, y) order
+// keeping the first strictly lowest cost, where a NaN cost never wins.
+// The prior is a distance (≥ 0, or NaN), so e plus the penalty bounds a
+// candidate's cost from below; the candidate with the lowest bound is
+// scored first, and another is scored only if its bound could still beat
+// the best cost, or tie it at a lower (x, y) index.
+//
+//anc:hotpath
 func (d *Decoder) matchSample(mt *matcher, n int, cur [2]PhasePair, curCond, kd float64) {
+	var bound, errs [4]float64
+	first := -1
+	for k := range bound {
+		x, y := k>>1, k&1
+		e := math.Abs(dsp.WrapPhase(cur[x].Theta - mt.prev[y].Theta - kd))
+		errs[k], bound[k] = e, e
+		if y != mt.prevChoice && !d.cfg.NoBranchContinuity {
+			bound[k] += branchContinuityPenalty
+		}
+		if bound[k] < math.Inf(1) && (first < 0 || bound[k] < bound[first]) {
+			first = k
+		}
+	}
 	bestCost := math.Inf(1)
 	bestErr := 0.0
 	bestX := 0
 	var bestDiff float64
-	for x := 0; x < 2; x++ {
-		for y := 0; y < 2; y++ {
+	if first >= 0 {
+		best := -1
+		for i := range bound {
+			k := (first + i) & 3
+			if best >= 0 && (bound[k] > bestCost || bound[k] == bestCost && k > best) {
+				continue // cannot win: its cost is at least its bound
+			}
+			x, y := k>>1, k&1
 			dphi := dsp.WrapPhase(cur[x].Phi - mt.prev[y].Phi)
-			// Cost: mismatch of the known signal's phase difference
-			// (Eq. 8), plus a prior that the wanted difference must
-			// itself be a legal per-sample step of the modulation.
-			// The prior is symmetric in sign so it cannot bias the
-			// bit decision; it only rejects mirror-branch artifacts.
-			// A small continuity bonus prefers re-selecting the
-			// previous sample's solution branch: the physical
-			// configuration (which side of y the known vector lies)
-			// evolves continuously, so branch flips should be rare.
-			e := math.Abs(dsp.WrapPhase(cur[x].Theta - mt.prev[y].Theta - kd))
-			cost := e
+			cost := errs[k]
 			if !d.cfg.NoMSKPrior {
 				cost += 0.5 * d.cfg.Modem.StepPrior(dphi)
 			}
 			if y != mt.prevChoice && !d.cfg.NoBranchContinuity {
 				cost += branchContinuityPenalty
 			}
-			if cost < bestCost {
-				bestCost = cost
-				bestErr = e
-				bestDiff = dphi
-				bestX = x
+			if cost < bestCost || cost == bestCost && k < best {
+				best, bestCost, bestErr, bestDiff, bestX = k, cost, errs[k], dphi, x
 			}
 		}
 	}

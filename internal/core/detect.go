@@ -49,9 +49,9 @@ type Detection struct {
 // DetectWith scans a reception window against a known noise floor (linear
 // power). It returns packet bounds from the energy profile and, if the
 // energy-variance criterion fires anywhere inside the packet, the bounds of
-// the interfered region. The moving-window state and the energy/variance
-// profiles come from a workspace (nil for fresh allocations); both profiles
-// are filled in one pass over the reception.
+// the interfered region. The energy/variance profiles come from a
+// workspace (nil for fresh allocations); both are filled in one pass over
+// the reception.
 func DetectWith(ws *Workspace, rx dsp.Signal, noiseFloor float64, cfg DetectorConfig) Detection {
 	if cfg.Window <= 0 || len(rx) < cfg.Window {
 		return Detection{}
@@ -63,18 +63,15 @@ func DetectWith(ws *Workspace, rx dsp.Signal, noiseFloor float64, cfg DetectorCo
 		energyThresh = 1e-12
 	}
 
-	var stats *dsp.MovingStats
 	var energy, variance []float64
 	if ws == nil {
-		stats = dsp.NewMovingStats(cfg.Window)
 		energy = make([]float64, len(rx))
 		variance = make([]float64, len(rx))
 	} else {
-		stats = ws.detectStats(cfg.Window)
 		energy = growFloats(&ws.energy, len(rx))
 		variance = growFloats(&ws.variance, len(rx))
 	}
-	stats.ProfileInto(energy, variance, rx)
+	dsp.ProfileInto(energy, variance, rx, cfg.Window)
 
 	start, end := -1, -1
 	for i, e := range energy {

@@ -31,7 +31,6 @@ func conditioningReference(y complex128, a, b float64) float64 {
 // amplitude assignment, as the decoder ran it before a single sweep
 // served both assignments: the reference the fused sweep is held to.
 func (d *Decoder) extractDiffsReference(rx dsp.Signal, est AmplitudeEstimate, knownDiffs []float64, frameRef, knownEnd, end int) ([]float64, []float64, float64) {
-	m := d.cfg.Modem
 	diffs := make([]float64, end-1)
 	weights := make([]float64, end-1)
 	var prev [2]PhasePair
@@ -53,30 +52,7 @@ func (d *Decoder) extractDiffsReference(rx dsp.Signal, est AmplitudeEstimate, kn
 		}
 		cur := SolvePhases(rx[n+1], est.A, est.B)
 		curCond := conditioningReference(rx[n+1], est.A, est.B)
-		kd := knownDiffs[n-frameRef]
-		bestCost := math.Inf(1)
-		bestErr := 0.0
-		bestX := 0
-		var bestDiff float64
-		for x := 0; x < 2; x++ {
-			for y := 0; y < 2; y++ {
-				dphi := dsp.WrapPhase(cur[x].Phi - prev[y].Phi)
-				e := math.Abs(dsp.WrapPhase(cur[x].Theta - prev[y].Theta - kd))
-				cost := e
-				if !d.cfg.NoMSKPrior {
-					cost += 0.5 * m.StepPrior(dphi)
-				}
-				if y != prevChoice && !d.cfg.NoBranchContinuity {
-					cost += branchContinuityPenalty
-				}
-				if cost < bestCost {
-					bestCost = cost
-					bestErr = e
-					bestDiff = dphi
-					bestX = x
-				}
-			}
-		}
+		bestX, bestErr, bestDiff := d.scanCandidates(prev, prevChoice, cur, knownDiffs[n-frameRef])
 		prevChoice = bestX
 		diffs[n] = bestDiff
 		residualSum += bestErr
@@ -92,6 +68,134 @@ func (d *Decoder) extractDiffsReference(rx dsp.Signal, est AmplitudeEstimate, kn
 		return diffs, weights, math.Inf(1)
 	}
 	return diffs, weights, residualSum / float64(residualN)
+}
+
+// scanCandidates is the Eq. 8 match as an exhaustive scan: every (x, y)
+// pairing of sample n+1's branch x with sample n's branch y is scored,
+// and the first strictly lowest cost wins (a NaN cost never does). It
+// returns the winner's branch x, its known-signal mismatch and the wanted
+// signal's ∆φ; with no winner, zeros. The matcher's pruned search is held
+// to it.
+func (d *Decoder) scanCandidates(prev [2]PhasePair, prevChoice int, cur [2]PhasePair, kd float64) (bestX int, bestErr, bestDiff float64) {
+	bestCost := math.Inf(1)
+	for x := 0; x < 2; x++ {
+		for y := 0; y < 2; y++ {
+			dphi := dsp.WrapPhase(cur[x].Phi - prev[y].Phi)
+			e := math.Abs(dsp.WrapPhase(cur[x].Theta - prev[y].Theta - kd))
+			cost := e
+			if !d.cfg.NoMSKPrior {
+				cost += 0.5 * d.cfg.Modem.StepPrior(dphi)
+			}
+			if y != prevChoice && !d.cfg.NoBranchContinuity {
+				cost += branchContinuityPenalty
+			}
+			if cost < bestCost {
+				bestCost = cost
+				bestErr = e
+				bestDiff = dphi
+				bestX = x
+			}
+		}
+	}
+	return bestX, bestErr, bestDiff
+}
+
+// TestMatchSampleMatchesScan holds the pruned matcher to the exhaustive
+// scan, bit for bit, under all eight combinations of the three matcher
+// ablations and both modems: on random samples, on samples whose Lemma
+// 6.1 D clamps to ±1 (the two solutions coincide, so candidates tie), on
+// exact ties built by hand, and with NaN phases and NaN known
+// differences. Pruning must actually skip candidates, or the test shows
+// nothing.
+func TestMatchSampleMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	nan := math.NaN()
+	type input struct {
+		prev, cur [2]PhasePair
+		kd        float64
+	}
+	var inputs []input
+	solve := func(y complex128) [2]PhasePair { return SolvePhases(y, 1, 0.8) }
+	for i := 0; i < 20000; i++ {
+		in := input{kd: (rng.Float64()*2 - 1) * math.Pi}
+		switch i % 5 {
+		case 0, 1: // samples of a noisy collision
+			in.prev = solve(complex(rng.NormFloat64(), rng.NormFloat64()))
+			in.cur = solve(complex(rng.NormFloat64(), rng.NormFloat64()))
+		case 2: // |y| outside [A−B, A+B]: D clamps and the solutions coincide
+			r := []float64{0.1, 1.9, 2.5}[rng.Intn(3)]
+			in.prev = solve(dsp.Cis(rng.Float64()*7) * complex(r, 0))
+			in.cur = solve(dsp.Cis(rng.Float64()*7) * complex(r, 0))
+		case 3: // hand-built exact ties: repeated phases, kd on the mismatch
+			p := PhasePair{Theta: rng.Float64(), Phi: rng.Float64()}
+			in.prev = [2]PhasePair{p, p}
+			in.cur = [2]PhasePair{{Theta: p.Theta + 0.5, Phi: p.Phi + math.Pi/8}, {Theta: p.Theta + 0.5, Phi: p.Phi - math.Pi/8}}
+			in.kd = 0.5
+		default: // NaNs in a phase or in the known difference
+			in.prev = solve(complex(rng.NormFloat64(), rng.NormFloat64()))
+			in.cur = solve(complex(rng.NormFloat64(), rng.NormFloat64()))
+			switch rng.Intn(4) {
+			case 0:
+				in.kd = nan
+			case 1:
+				in.cur[rng.Intn(2)].Theta = nan
+			case 2:
+				in.prev[rng.Intn(2)].Phi = nan
+			default:
+				in.cur[0].Phi, in.cur[1].Phi = nan, nan
+			}
+		}
+		inputs = append(inputs, in)
+	}
+	skipped := 0
+	for _, m := range []PhyModem{msk.New(), dqpsk.New()} {
+		for flags := 0; flags < 8; flags++ {
+			cfg := DefaultConfig(m, 1e-3)
+			cfg.NoMSKPrior = flags&1 != 0
+			cfg.NoBranchContinuity = flags&2 != 0
+			cfg.NoConditioningWeights = flags&4 != 0
+			counted := &countingPrior{PhyModem: m}
+			cfg.Modem = counted
+			d := NewDecoder(cfg)
+			for i, in := range inputs {
+				prevChoice := i % 2
+				mt := matcher{prev: in.prev, prevCond: 0.3, prevChoice: prevChoice,
+					diffs: make([]float64, 1), weights: make([]float64, 1)}
+				counted.calls = 0
+				d.matchSample(&mt, 0, in.cur, 0.6, in.kd)
+				if !cfg.NoMSKPrior {
+					skipped += 4 - counted.calls
+				}
+				x, e, dphi := d.scanCandidates(in.prev, prevChoice, in.cur, in.kd)
+				wantW := math.Min(0.3, 0.6) + 0.05
+				if cfg.NoConditioningWeights {
+					wantW = 1
+				}
+				if mt.prevChoice != x || !sameFloats(mt.diffs, []float64{dphi}) ||
+					math.Float64bits(mt.residualSum) != math.Float64bits(e) ||
+					math.Float64bits(mt.weights[0]) != math.Float64bits(wantW) ||
+					!sameFloats([]float64{mt.prev[0].Theta, mt.prev[0].Phi, mt.prev[1].Theta, mt.prev[1].Phi},
+						[]float64{in.cur[0].Theta, in.cur[0].Phi, in.cur[1].Theta, in.cur[1].Phi}) {
+					t.Fatalf("%T flags %03b input %d: matcher chose (%d, ∆φ %v, e %v), scan (%d, %v, %v)",
+						m, flags, i, mt.prevChoice, mt.diffs[0], mt.residualSum, x, dphi, e)
+				}
+			}
+		}
+	}
+	if skipped == 0 {
+		t.Error("the matcher evaluated every StepPrior; the pruning never ran")
+	}
+}
+
+// countingPrior counts a modem's StepPrior calls.
+type countingPrior struct {
+	PhyModem
+	calls int
+}
+
+func (c *countingPrior) StepPrior(dphi float64) float64 {
+	c.calls++
+	return c.PhyModem.StepPrior(dphi)
 }
 
 // sameFloats reports whether two float slices are bit-identical.

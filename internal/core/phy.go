@@ -83,7 +83,9 @@ type PhyModem interface {
 	// phase difference the modulation can legally produce between two
 	// consecutive samples. The matcher uses it to reject mirror-branch
 	// artifacts; it must be symmetric under sign change of the
-	// underlying data so it cannot bias decisions.
+	// underlying data so it cannot bias decisions. It is a distance:
+	// ≥ 0 for every dphi, or NaN. The matcher relies on that to skip
+	// candidates whose cost without the prior already loses.
 	StepPrior(dphi float64) float64
 	// BackwardRefOffset is where the demodulator locks onto a conjugate
 	// time-reversed stream, in samples past the origin of the reversed

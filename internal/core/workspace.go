@@ -3,15 +3,14 @@ package core
 import "repro/internal/dsp"
 
 // Workspace holds every reusable buffer one decoding pipeline needs: the
-// detector's moving-window state and energy/variance profiles, the
-// conjugate-reversed stream for backward decodes, the known signal's phase
-// differences, the matcher's ∆φ/weight streams (plus the pair for the
-// swapped amplitude-assignment trial), demodulation and decision bit
-// buffers, and the amplitude estimator's magnitude scratch. With a
-// Workspace attached (see Decoder.SetWorkspace) a decoder performs no
-// steady-state allocation per reception beyond the Result it hands back —
-// the discipline sim.Scratch applies to reception synthesis, extended down
-// the decode stack.
+// detector's energy/variance profiles, the conjugate-reversed stream for
+// backward decodes, the known signal's phase differences, the matcher's
+// ∆φ/weight streams (plus the pair for the swapped amplitude-assignment
+// trial), demodulation and decision bit buffers, and the amplitude
+// estimator's magnitude scratch. With a Workspace attached (see
+// Decoder.SetWorkspace) a decoder performs no steady-state allocation per
+// reception beyond the Result it hands back — the discipline sim.Scratch
+// applies to reception synthesis, extended down the decode stack.
 //
 // The buffers whose size is the reception length itself — the detector
 // profiles and the decision-bit scratch — are carved from one
@@ -31,26 +30,24 @@ import "repro/internal/dsp"
 // of the workspace before returning, so results stay valid across later
 // decodes that reuse the same buffers.
 type Workspace struct {
-	modem    dsp.Scratch      // modem-internal demod scratch (MLSE filter + back-pointers)
-	stats    *dsp.MovingStats // detector moving window
-	energy   []float64        // windowed energy profile
-	variance []float64        // windowed energy-variance profile
-	conj     dsp.Signal       // conjugate time-reversed reception (§7.4)
-	known    []float64        // known signal's per-sample phase differences
-	diffs    []float64        // recovered ∆φ stream
-	weights  []float64        // conditioning weights of diffs
-	altDiffs []float64        // ∆φ stream of the swapped-assignment trial
-	altWts   []float64        // weights of the swapped-assignment trial
-	headBits []byte           // clean-head demodulation (search prefixes, then the frame)
-	refDiffs []float64        // pilot-window phase differences of refineRef
-	alignLog []byte           // per-residue symbol decisions in alignWanted
-	wanted   []byte           // final symbol decisions before the owned copy
-	mag2     []float64        // |y|² scratch of the moment estimator
-	mags     []float64        // |y| scratch of the envelope estimator (sorted)
+	modem    dsp.Scratch // modem-internal demod scratch (MLSE filter + back-pointers)
+	energy   []float64   // windowed energy profile
+	variance []float64   // windowed energy-variance profile
+	conj     dsp.Signal  // conjugate time-reversed reception (§7.4)
+	known    []float64   // known signal's per-sample phase differences
+	diffs    []float64   // recovered ∆φ stream
+	weights  []float64   // conditioning weights of diffs
+	altDiffs []float64   // ∆φ stream of the swapped-assignment trial
+	altWts   []float64   // weights of the swapped-assignment trial
+	headBits []byte      // clean-head demodulation (search prefixes, then the frame)
+	refDiffs []float64   // pilot-window phase differences of refineRef
+	alignLog []byte      // per-residue symbol decisions in alignWanted
+	wanted   []byte      // final symbol decisions before the owned copy
+	mag2     []float64   // |y|² scratch of the moment estimator
+	mags     []float64   // |y| scratch of the envelope estimator (sorted)
 
-	// arena backs every buffer above (except the modem scratch and the
-	// moving window); batchCap is the reception length the current
-	// carving supports.
+	// arena backs every buffer above except the modem scratch; batchCap
+	// is the reception length the current carving supports.
 	arena    dsp.Arena
 	batchCap int
 
@@ -85,23 +82,6 @@ func (ws *Workspace) prepareBatch(n int) {
 	ws.headBits = ws.arena.Bytes(n)
 	ws.alignLog = ws.arena.Bytes(n)
 	ws.wanted = ws.arena.Bytes(n)
-}
-
-// detectStats returns the workspace's moving-window detector reset to the
-// given window length. Re-requesting the current length only rewinds the
-// running sums — the amortization that makes a batch of same-config
-// detections pay the window setup once.
-func (ws *Workspace) detectStats(window int) *dsp.MovingStats {
-	if ws.stats == nil {
-		ws.stats = dsp.NewMovingStats(window)
-		return ws.stats
-	}
-	if ws.stats.Window() == window {
-		ws.stats.Reset()
-		return ws.stats
-	}
-	ws.stats.Rewindow(window)
-	return ws.stats
 }
 
 // growFloats resizes *buf to n elements (contents undefined), reallocating

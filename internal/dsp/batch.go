@@ -1,6 +1,9 @@
 package dsp
 
-import "math"
+import (
+	"errors"
+	"math"
+)
 
 // This file holds the batched kernels of the burst decode path: the
 // detector's profile filter, the pilot correlation scans, and the shared
@@ -9,20 +12,63 @@ import "math"
 // candidate offsets) per call, so the decode pipeline's inner loops live
 // here rather than being re-expressed at every call site.
 
-// ProfileInto fills energy[i] and variance[i] with the windowed mean and
-// population variance of per-sample energy after pushing s[i] — the
-// one-pass filter sweep the §7.1 detectors scan. The window state is
-// Reset first, so consecutive calls on one MovingStats are independent
-// and a batch of signals can share a single re-wound window. energy and
-// variance must be at least len(s) long.
+// ProfileInto fills energy[i] and variance[i] with the mean and
+// population variance of the per-sample energy |s[k]|² over the window of
+// samples ending at s[i] (the last min(i+1, window) of them): the
+// one-pass filter sweep the §7.1 detectors scan. A packet begins where the
+// windowed energy rises well above the noise floor, and interference is
+// declared where the windowed energy variance is large (a clean MSK
+// signal has nearly constant energy; a sum of two MSK signals does not).
+// energy and variance must be at least len(s) long; a window below 1
+// panics.
+//
+// Running sums of the energy and of its square slide with the window; the
+// energy a full window evicts, |s[i−window]|², is recomputed from the
+// input rather than kept in a ring buffer. Every product is rounded before
+// it is added (the float64 conversions forbid a fused multiply-add), so
+// the profile is the same on every GOARCH: the one amd64 computes, where
+// the compiler fuses none of these sums.
 //
 //anc:hotpath
-func (m *MovingStats) ProfileInto(energy, variance []float64, s Signal) {
-	m.Reset()
-	for i, v := range s {
-		m.Push(v)
-		energy[i], variance[i] = m.meanVariance()
+func ProfileInto(energy, variance []float64, s Signal, window int) {
+	if window <= 0 {
+		panic(errWindow)
 	}
+	w := min(window, len(s))
+	var sum, sumSq float64
+	for i, v := range s[:w] { // filling: the window holds i+1 samples
+		e := sqMag(v)
+		sum += e
+		sumSq += float64(e * e)
+		energy[i], variance[i] = profileAt(sum, sumSq, float64(i+1))
+	}
+	n := float64(window)
+	for i := w; i < len(s); i++ { // full: s[i−window] leaves as s[i] enters
+		old, e := sqMag(s[i-window]), sqMag(s[i])
+		sum -= old
+		sumSq -= float64(old * old)
+		sum += e
+		sumSq += float64(e * e)
+		energy[i], variance[i] = profileAt(sum, sumSq, n)
+	}
+}
+
+// sqMag returns |v|², each square rounded before the sum.
+func sqMag(v complex128) float64 {
+	return float64(real(v)*real(v)) + float64(imag(v)*imag(v))
+}
+
+var errWindow = errors.New("dsp: non-positive window")
+
+// profileAt returns the mean and population variance of n samples from
+// their running sum and sum of squares.
+func profileAt(sum, sumSq, n float64) (mean, variance float64) {
+	mean = sum / n
+	v := sumSq/n - float64(mean*mean)
+	if v < 0 { // floating-point cancellation guard
+		v = 0
+	}
+	return mean, v
 }
 
 // CorrelatePhaseDiffs returns Σ cos(diffs[k] − expected[k]) over the

@@ -53,28 +53,75 @@ func TestCisMatchesCmplxExp(t *testing.T) {
 	}
 }
 
-// TestProfileIntoMatchesAccessors pins ProfileInto's one-pass mean and
-// variance to the Mean and Variance accessors, bit for bit, across window
-// wrap-around and the variance cancellation clamp.
+// movingStats is the ring-buffer window ProfileInto replaced: push keeps
+// the last window energies and their running sums, and meanVariance is
+// the profile entry after each push. ProfileInto is held to it. Its
+// products are rounded before they are added, as amd64 computes them, so
+// the comparison is exact on every GOARCH.
+type movingStats struct {
+	window  int
+	samples []float64 // ring buffer of |y|² values
+	head    int
+	count   int
+	sum     float64
+	sumSq   float64
+}
+
+func (m *movingStats) push(v complex128) {
+	e := float64(real(v)*real(v)) + float64(imag(v)*imag(v))
+	if m.count == m.window {
+		old := m.samples[m.head]
+		m.sum -= old
+		m.sumSq -= float64(old * old)
+	} else {
+		m.count++
+	}
+	m.samples[m.head] = e
+	m.sum += e
+	m.sumSq += float64(e * e)
+	m.head++
+	if m.head == m.window {
+		m.head = 0
+	}
+}
+
+func (m *movingStats) meanVariance() (mean, variance float64) {
+	n := float64(m.count)
+	mean = m.sum / n
+	v := m.sumSq/n - float64(mean*mean)
+	if v < 0 {
+		v = 0
+	}
+	return mean, v
+}
+
+// TestProfileIntoMatchesAccessors pins ProfileInto to the ring-buffer
+// push loop it replaced, bit for bit: after each push, the reference's
+// meanVariance gives the profile entry. Windows 1, 3, 96 and 128 run over
+// signals shorter than, as long as and longer than the window, with
+// constant-envelope stretches that hit the variance clamp.
 func TestProfileIntoMatchesAccessors(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for _, w := range []int{1, 3, 64, 128} {
-		s := make(Signal, 1500)
-		for i := range s {
-			s[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-			if i%97 < 40 {
-				s[i] = complex(0.7, 0) // constant-envelope stretches hit the clamp
+	for _, w := range []int{1, 3, 96, 128} {
+		for _, n := range []int{0, 1, w - 1, w, w + 1, 2*w + 5, 1500} {
+			s := make(Signal, n)
+			for i := range s {
+				s[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+				if i%97 < 40 {
+					s[i] = complex(0.7, 0) // constant-envelope stretches hit the clamp
+				}
 			}
-		}
-		energy, variance := make([]float64, len(s)), make([]float64, len(s))
-		NewMovingStats(w).ProfileInto(energy, variance, s)
-		ref := NewMovingStats(w)
-		for i, v := range s {
-			ref.Push(v)
-			if math.Float64bits(energy[i]) != math.Float64bits(ref.Mean()) ||
-				math.Float64bits(variance[i]) != math.Float64bits(ref.Variance()) {
-				t.Fatalf("w=%d i=%d: profile (%v, %v), accessors (%v, %v)",
-					w, i, energy[i], variance[i], ref.Mean(), ref.Variance())
+			energy, variance := make([]float64, n), make([]float64, n)
+			ProfileInto(energy, variance, s, w)
+			ref := movingStats{window: w, samples: make([]float64, w)}
+			for i, v := range s {
+				ref.push(v)
+				mean, vr := ref.meanVariance()
+				if math.Float64bits(energy[i]) != math.Float64bits(mean) ||
+					math.Float64bits(variance[i]) != math.Float64bits(vr) {
+					t.Fatalf("w=%d n=%d i=%d: profile (%v, %v), push loop (%v, %v)",
+						w, n, i, energy[i], variance[i], mean, vr)
+				}
 			}
 		}
 	}

@@ -7,59 +7,63 @@ import (
 	"testing/quick"
 )
 
+// The TestMovingStats tests pin ProfileInto's moving-window statistics on
+// hand-worked cases.
+
+// profile returns ProfileInto's energy and variance profiles of s.
+func profile(s Signal, window int) (energy, variance []float64) {
+	energy, variance = make([]float64, len(s)), make([]float64, len(s))
+	ProfileInto(energy, variance, s, window)
+	return energy, variance
+}
+
 func TestMovingStatsConstantSignal(t *testing.T) {
-	m := NewMovingStats(8)
-	for i := 0; i < 100; i++ {
-		m.Push(complex(2, 0)) // energy 4
+	s := make(Signal, 100)
+	for i := range s {
+		s[i] = complex(2, 0) // energy 4
 	}
-	if got := m.Mean(); !approx(got, 4, 1e-12) {
-		t.Errorf("Mean = %v, want 4", got)
+	energy, variance := profile(s, 8)
+	if got := energy[99]; !approx(got, 4, 1e-12) {
+		t.Errorf("mean = %v, want 4", got)
 	}
-	if got := m.Variance(); !approx(got, 0, 1e-9) {
-		t.Errorf("Variance = %v, want 0", got)
+	if got := variance[99]; !approx(got, 0, 1e-9) {
+		t.Errorf("variance = %v, want 0", got)
 	}
 }
 
 func TestMovingStatsEviction(t *testing.T) {
-	m := NewMovingStats(2)
-	m.Push(1) // energy 1
-	m.Push(1)
-	m.Push(complex(0, 3)) // energy 9; window now {1, 9}
-	if got := m.Mean(); !approx(got, 5, 1e-12) {
-		t.Errorf("Mean after eviction = %v, want 5", got)
+	// Energies 1, 1, 9: with a window of 2 the last entry sees {1, 9}.
+	energy, variance := profile(Signal{1, 1, complex(0, 3)}, 2)
+	if got := energy[2]; !approx(got, 5, 1e-12) {
+		t.Errorf("mean after eviction = %v, want 5", got)
 	}
-	if got := m.Variance(); !approx(got, 16, 1e-9) {
-		t.Errorf("Variance = %v, want 16", got)
+	if got := variance[2]; !approx(got, 16, 1e-9) {
+		t.Errorf("variance = %v, want 16", got)
 	}
 }
 
 func TestMovingStatsMatchesBatch(t *testing.T) {
-	// The incremental window must agree with a direct computation.
+	// The sliding sums must agree with a direct computation per window.
 	f := func(vals []float64) bool {
 		const w = 5
-		m := NewMovingStats(w)
+		s := make(Signal, len(vals))
 		for i, v := range vals {
 			if math.Abs(v) > 1e3 {
 				v = math.Mod(v, 1e3)
 			}
-			m.Push(complex(v, 0))
-			lo := i + 1 - w
-			if lo < 0 {
-				lo = 0
-			}
+			s[i] = complex(v, 0)
+		}
+		energy, variance := profile(s, w)
+		for i := range s {
 			var window []float64
-			for j := lo; j <= i; j++ {
-				x := vals[j]
-				if math.Abs(x) > 1e3 {
-					x = math.Mod(x, 1e3)
-				}
-				window = append(window, x*x)
+			for j := max(i+1-w, 0); j <= i; j++ {
+				window = append(window, real(s[j])*real(s[j]))
 			}
 			scale := 1 + Mean(window)
-			if math.Abs(m.Mean()-Mean(window)) > 1e-6*scale {
+			if math.Abs(energy[i]-Mean(window)) > 1e-6*scale {
 				return false
 			}
-			if math.Abs(m.Variance()-Variance(window)) > 1e-4*scale*scale {
+			if math.Abs(variance[i]-Variance(window)) > 1e-4*scale*scale {
 				return false
 			}
 		}
@@ -71,24 +75,23 @@ func TestMovingStatsMatchesBatch(t *testing.T) {
 }
 
 func TestMovingStatsReset(t *testing.T) {
-	m := NewMovingStats(4)
-	m.Push(5)
-	m.Reset()
-	if m.Mean() != 0 || m.Variance() != 0 || m.Full() {
-		t.Error("Reset did not clear state")
+	// Every call starts from an empty window: nothing an earlier profile
+	// saw leaks into the next one through the reused outputs.
+	energy, variance := profile(Signal{5}, 4)
+	ProfileInto(energy, variance, Signal{0}, 4)
+	if energy[0] != 0 || variance[0] != 0 {
+		t.Errorf("profile of a zero after a 5 = (%v, %v), want (0, 0)", energy[0], variance[0])
 	}
 }
 
 func TestMovingStatsFull(t *testing.T) {
-	m := NewMovingStats(3)
-	m.Push(1)
-	m.Push(1)
-	if m.Full() {
-		t.Error("Full before window filled")
-	}
-	m.Push(1)
-	if !m.Full() {
-		t.Error("not Full after window filled")
+	// Energies 9, 0, 0, 0 with a window of 3: while the window fills the
+	// mean is over the samples seen, and the fourth sample evicts the 9.
+	energy, _ := profile(Signal{3, 0, 0, 0}, 3)
+	for i, want := range []float64{9, 4.5, 3, 0} {
+		if !approx(energy[i], want, 1e-12) {
+			t.Errorf("mean[%d] = %v, want %v", i, energy[i], want)
+		}
 	}
 }
 
@@ -99,15 +102,12 @@ func TestEnergyProfileDetectsPacketEdge(t *testing.T) {
 	for i := 100; i < 200; i++ {
 		s[i] = 1
 	}
-	m := NewMovingStats(16)
-	for i, v := range s {
-		m.Push(v)
-		if i == 50 && m.Mean() > 0.01 {
-			t.Errorf("windowed energy before edge = %v", m.Mean())
-		}
-		if i == 150 && m.Mean() < 0.9 {
-			t.Errorf("windowed energy after edge = %v", m.Mean())
-		}
+	energy, _ := profile(s, 16)
+	if energy[50] > 0.01 {
+		t.Errorf("windowed energy before edge = %v", energy[50])
+	}
+	if energy[150] < 0.9 {
+		t.Errorf("windowed energy after edge = %v", energy[150])
 	}
 }
 
@@ -126,13 +126,10 @@ func TestVarianceProfileSeparatesCleanFromInterfered(t *testing.T) {
 	}
 	// Mean windowed variance once the window is full.
 	meanVariance := func(s Signal) float64 {
-		m := NewMovingStats(32)
+		_, variance := profile(s, 32)
 		var sum float64
-		for i, v := range s {
-			m.Push(v)
-			if i >= 32 {
-				sum += m.Variance()
-			}
+		for _, v := range variance[32:] {
+			sum += v
 		}
 		return sum / float64(len(s)-32)
 	}
@@ -165,5 +162,5 @@ func TestNewMovingStatsPanics(t *testing.T) {
 			t.Error("zero window did not panic")
 		}
 	}()
-	NewMovingStats(0)
+	ProfileInto(nil, nil, nil, 0)
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -87,4 +89,44 @@ func TestStreamerValidatesUpFront(t *testing.T) {
 	if _, err := NewStreamer(opts, "alice-bob", 1, 0); err == nil {
 		t.Error("NewStreamer accepted shard count 0")
 	}
+}
+
+// TestStreamerCampaignsReuseScratches runs ten identical, warmed 40-row
+// alice-bob campaigns through Streamers with the collector off at
+// GOMAXPROCS=2. Each campaign worker must take a shed Scratch an earlier
+// worker put back, not build a fresh one (which allocates nodes,
+// decoders and a decode workspace anew, over 1 MB), so every campaign
+// allocates within 64 kB of the others.
+func TestStreamerCampaignsReuseScratches(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs twelve campaigns")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	opts := StreamOptions{Options: Options{Runs: 40, Seed: 1}}
+	opts.Sim.Packets = 2
+	campaign := func() uint64 {
+		s, err := NewStreamer(opts, "alice-bob", 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := s.Stream(context.Background(), func([]byte) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	campaign() // warm up: both workers' Scratches built and shed
+	campaign()
+	lo, hi := ^uint64(0), uint64(0)
+	for i := 0; i < 10; i++ {
+		b := campaign()
+		lo, hi = min(lo, b), max(hi, b)
+	}
+	if hi-lo > 64<<10 {
+		t.Errorf("ten identical campaigns allocated %d to %d bytes, %d apart; want within 64 kB", lo, hi, hi-lo)
+	}
+	t.Logf("ten identical campaigns allocated %d to %d bytes", lo, hi)
 }

@@ -74,3 +74,33 @@ func sameBits(a, b complex128) bool {
 	return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
 		math.Float64bits(imag(a)) == math.Float64bits(imag(b))
 }
+
+// TestStepPriorIsADistance pins the core.PhyModem StepPrior contract for
+// every registered modem: the prior is ≥ 0 for every dphi, or NaN. The
+// interference matcher skips a candidate's prior when the candidate's
+// mismatch alone already loses, which is exact only for a distance. The
+// sweep covers [−4π, 4π] finely, the step and boundary angles 0, ±π/8,
+// ±π/2 and ±π with their float neighbours, and NaN.
+func TestStepPriorIsADistance(t *testing.T) {
+	var dphis []float64
+	for _, a := range []float64{0, math.Pi / 8, math.Pi / 2, math.Pi, 2 * math.Pi, 4 * math.Pi} {
+		for _, v := range []float64{a, -a} {
+			dphis = append(dphis, v, math.Nextafter(v, math.Inf(1)), math.Nextafter(v, math.Inf(-1)))
+		}
+	}
+	dphis = append(dphis, math.Copysign(0, -1), math.NaN())
+	const steps = 20000
+	for i := 0; i <= steps; i++ {
+		dphis = append(dphis, -4*math.Pi+8*math.Pi*float64(i)/steps)
+	}
+	for _, name := range Names() {
+		for _, sps := range []int{1, 2, 4, 8} {
+			m := MustNew(name, sps)
+			for _, dphi := range dphis {
+				if p := m.StepPrior(dphi); p < 0 {
+					t.Fatalf("%s S=%d: StepPrior(%v) = %v, want ≥ 0 or NaN", name, sps, dphi, p)
+				}
+			}
+		}
+	}
+}

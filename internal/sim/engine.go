@@ -322,11 +322,10 @@ func (s *Scratch) takeFrame(n int) dsp.Signal {
 // shed drops the reception and frame buffers and the rotation tables, so
 // an idle Scratch keeps only its run-construction state (RNG, noise
 // source, modem, nodes and decoders, Env shell) and its decode workspace.
-// Only a collection empties the package pool of worker Scratches, and a
-// campaign allocates too little for collections to come often, so an
-// idle Scratch can outlive the gap between two ancserve jobs. Holding its
-// sample buffers through that gap raised serve-mixed's peak heap by about
-// a fifth; the next campaign rebuilds them in its first slots.
+// The package list of worker Scratches keeps a shed Scratch through the
+// gap between two ancserve jobs. Holding its sample buffers through that
+// gap raised serve-mixed's peak heap by about a fifth; the next campaign
+// rebuilds them in its first slots.
 func (s *Scratch) shed() {
 	clear(s.free)
 	clear(s.freeFrames)
@@ -539,9 +538,45 @@ func WithWorkers(n int) StreamOption {
 // start with built nodes and decoders and a grown decode workspace
 // instead of empty ones. Every pooled resource is reseeded, reset or
 // overwritten per run, so a pooled Scratch produces the same rows as a
-// fresh one. A finished worker sheds its sample buffers before it returns
-// its Scratch (see Scratch.shed).
-var workerScratch = sync.Pool{New: func() any { return NewScratch() }}
+// fresh one.
+var workerScratch scratchStack
+
+// scratchStack is a mutex-guarded LIFO list of shed Scratches, at most
+// GOMAXPROCS long. Unlike a sync.Pool, whatever one goroutine puts any
+// other can take, and a collection does not empty it, so a campaign
+// worker builds a fresh Scratch only when every shed one is in use.
+type scratchStack struct {
+	mu   sync.Mutex
+	free []*Scratch
+}
+
+// get returns the most recently put Scratch, or a fresh one.
+func (p *scratchStack) get() *Scratch {
+	var s *Scratch
+	p.mu.Lock()
+	if n := len(p.free); n > 0 {
+		s = p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+	}
+	p.mu.Unlock()
+	if s == nil {
+		s = NewScratch()
+	}
+	return s
+}
+
+// put sheds s's sample buffers (see Scratch.shed) and keeps it for the
+// next get, unless GOMAXPROCS Scratches are kept already: then s is
+// dropped.
+func (p *scratchStack) put(s *Scratch) {
+	s.shed()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.free) < runtime.GOMAXPROCS(0) {
+		p.free = append(p.free, s)
+	}
+}
 
 // campaignWindow bounds the rows in flight — executing, queued, or
 // awaiting in-order emission — of one streaming campaign: enough slack
@@ -606,11 +641,8 @@ func (eng *Engine) CampaignStream(sc Scenario, schemes []Scheme, seeds []int64, 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			scratch := workerScratch.Get().(*Scratch)
-			defer func() {
-				scratch.shed()
-				workerScratch.Put(scratch)
-			}()
+			scratch := workerScratch.get()
+			defer workerScratch.put(scratch)
 			for idx := range next {
 				res := result{row: Row{Index: idx, Seed: seeds[idx], Metrics: make([]Metrics, len(schemes))}}
 				if cfg.trace {

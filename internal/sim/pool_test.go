@@ -2,6 +2,8 @@ package sim
 
 import (
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -46,5 +48,49 @@ func TestPooledScratchAcrossCampaigns(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestScratchStackAcrossGoroutines puts a Scratch from one goroutine and
+// takes it from another: the list hands back that same Scratch. (A
+// sync.Pool keeps a put item in the putting P's private slot, which a
+// worker running on another P cannot take.)
+func TestScratchStackAcrossGoroutines(t *testing.T) {
+	var p scratchStack
+	s := NewScratch()
+	put := make(chan struct{})
+	go func() {
+		defer close(put)
+		p.put(s)
+	}()
+	<-put
+	got := make(chan *Scratch)
+	go func() { got <- p.get() }()
+	if g := <-got; g != s {
+		t.Error("another goroutine took a fresh Scratch instead of the one put")
+	}
+}
+
+// TestScratchStackCap puts more Scratches than GOMAXPROCS: the list keeps
+// the first GOMAXPROCS, hands them back last in first out, and then
+// builds fresh ones.
+func TestScratchStackCap(t *testing.T) {
+	var p scratchStack
+	limit := runtime.GOMAXPROCS(0)
+	put := make([]*Scratch, limit+2)
+	for i := range put {
+		put[i] = NewScratch()
+		p.put(put[i])
+	}
+	if len(p.free) != limit {
+		t.Fatalf("the list keeps %d Scratches, want GOMAXPROCS = %d", len(p.free), limit)
+	}
+	for i := limit - 1; i >= 0; i-- {
+		if p.get() != put[i] {
+			t.Fatalf("take %d: not the Scratch put %d-th", limit-i, i)
+		}
+	}
+	if s := p.get(); slices.Contains(put, s) {
+		t.Error("an empty list handed back a Scratch it should have dropped")
 	}
 }
