@@ -192,8 +192,11 @@ func NewNode(id uint16, m PhyModem, noiseFloor float64, opts ...NodeOption) *Nod
 
 // Workspace holds the reusable buffers one decode pipeline needs. Attach
 // one to every node a goroutine drives (Node.SetWorkspace) and its
-// steady-state decodes allocate nothing beyond the returned Result. One
-// workspace per goroutine — sharing across goroutines races.
+// steady-state decodes allocate nothing beyond the returned Result.
+// Release a Result once done with it (Workspace.Release) and a later
+// decode reuses it with its bit and payload storage, allocating nothing
+// at all; a Result never released stays valid for good. One workspace per
+// goroutine — sharing across goroutines races.
 type Workspace = core.Workspace
 
 // NewWorkspace returns an empty decode workspace; buffers grow on first

@@ -33,17 +33,35 @@ func PutBytes(dst []byte, data []byte) {
 // must be a multiple of 8; ToBytes returns an error otherwise so framing
 // bugs surface at the call site rather than as silent truncation.
 func ToBytes(bs []byte) ([]byte, error) {
-	if len(bs)%8 != 0 {
-		return nil, fmt.Errorf("bits: length %d is not a multiple of 8", len(bs))
-	}
-	out := make([]byte, len(bs)/8)
-	for i, b := range bs {
-		if b > 1 {
-			return nil, fmt.Errorf("bits: element %d has non-binary value %d", i, b)
-		}
-		out[i/8] |= b << uint(7-i%8)
+	out, err := ToBytesInto(nil, bs)
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// ToBytesInto is ToBytes writing into dst's storage, which grows only when
+// its capacity is below len(bs)/8. On error it returns dst[:0].
+func ToBytesInto(dst, bs []byte) ([]byte, error) {
+	if len(bs)%8 != 0 {
+		return dst[:0], fmt.Errorf("bits: length %d is not a multiple of 8", len(bs))
+	}
+	n := len(bs) / 8
+	if cap(dst) < n {
+		dst = make([]byte, n)
+	}
+	dst = dst[:n]
+	for j := range dst {
+		var v byte
+		for k, b := range bs[8*j : 8*j+8] {
+			if b > 1 {
+				return dst[:0], fmt.Errorf("bits: element %d has non-binary value %d", 8*j+k, b)
+			}
+			v = v<<1 | b
+		}
+		dst[j] = v
+	}
+	return dst, nil
 }
 
 // FromUint16 returns the 16 bits of v, MSB first.

@@ -59,9 +59,14 @@ func Decode(coded frame.Packet, known []byte) ([]byte, error) {
 }
 
 // Pool is the router's store of native packets awaiting coding
-// opportunities, keyed by flow (src, dst).
+// opportunities, keyed by flow (src, dst). It queues copies of the
+// payloads it is given, so a caller may reuse a payload buffer once Put
+// returns, and a packet may wait in the pool for many steps.
 type Pool struct {
 	byFlow map[[2]uint16][]frame.Packet
+	// spare holds the payload storage of packets TakePair returned, which
+	// later Puts reuse.
+	spare [][]byte
 }
 
 // NewPool returns an empty pool.
@@ -69,14 +74,21 @@ func NewPool() *Pool {
 	return &Pool{byFlow: make(map[[2]uint16][]frame.Packet)}
 }
 
-// Put queues a native packet.
+// Put queues a native packet with a copy of its payload.
 func (p *Pool) Put(pkt frame.Packet) {
+	var buf []byte
+	if n := len(p.spare); n > 0 {
+		buf, p.spare[n-1] = p.spare[n-1], nil
+		p.spare = p.spare[:n-1]
+	}
+	pkt.Payload = append(buf[:0], pkt.Payload...)
 	k := [2]uint16{pkt.Header.Src, pkt.Header.Dst}
 	p.byFlow[k] = append(p.byFlow[k], pkt)
 }
 
 // TakePair removes and returns the oldest packet of each of two flows, if
-// both have one queued — a coding opportunity.
+// both have one queued — a coding opportunity. The returned payloads stay
+// valid until the next Put, which may reuse their storage.
 func (p *Pool) TakePair(srcA, dstA, srcB, dstB uint16) (frame.Packet, frame.Packet, bool) {
 	ka := [2]uint16{srcA, dstA}
 	kb := [2]uint16{srcB, dstB}
@@ -87,5 +99,6 @@ func (p *Pool) TakePair(srcA, dstA, srcB, dstB uint16) (frame.Packet, frame.Pack
 	a, b := qa[0], qb[0]
 	p.byFlow[ka] = qa[1:]
 	p.byFlow[kb] = qb[1:]
+	p.spare = append(p.spare, a.Payload, b.Payload)
 	return a, b, true
 }

@@ -74,25 +74,31 @@ func TestDecodeBatchReusesOut(t *testing.T) {
 }
 
 // TestDecodeBatchSteadyStateAllocs extends the per-decode allocation
-// budget to the batch path: once the shared workspace has grown, a burst
-// allocates only what the callers keep (each item's Result and owned
-// copies) — the batch machinery itself adds nothing per reception.
+// budget to the batch path: once the shared workspace has grown and every
+// Result of a burst is released before the next, a burst allocates only
+// the backward decodes' forward-attempt errors — the batch machinery
+// itself adds nothing per reception.
 func TestDecodeBatchSteadyStateAllocs(t *testing.T) {
 	ws := NewWorkspace()
 	items := batchFixture(t, ws, 2)
 	out := make([]BatchResult, len(items))
-	for i := 0; i < 2; i++ {
+	burst := func() {
 		out = DecodeBatch(items, out)
+		for j := range out {
+			ws.Release(out[j].Result)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		burst()
 		for j := range out {
 			if out[j].Err != nil {
 				t.Fatalf("warmup batch item %d: %v", j, out[j].Err)
 			}
 		}
 	}
-	budget := float64(len(items) * maxBackwardDecodeAllocs)
-	allocs := testing.AllocsPerRun(10, func() {
-		out = DecodeBatch(items, out)
-	})
+	// Bob's half of the items decodes backward.
+	budget := float64(len(items)/2) * backwardDecodeBudget()
+	allocs := testing.AllocsPerRun(10, burst)
 	if allocs > budget {
 		t.Errorf("DecodeBatch of %d items allocates %.1f objects/op in steady state, budget %.0f",
 			len(items), allocs, budget)

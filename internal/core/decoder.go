@@ -78,12 +78,19 @@ type Result struct {
 	// HeaderOK is false the stream is untrimmed and may carry garbage
 	// bits past the true frame end. The slice is owned by the Result —
 	// never a view into decoder scratch — so it stays valid across later
-	// decodes.
+	// decodes until the Result is released (Workspace.Release), as does
+	// Packet.Payload.
 	WantedBits []byte
 	HeaderOK   bool
 	BodyOK     bool
 	// Amplitudes holds the Eq. 5/6 estimates (interfered decodes only).
 	Amplitudes AmplitudeEstimate
+
+	// bitsBuf and payloadBuf keep the storage of WantedBits and
+	// Packet.Payload for a decode that reuses the Result; released marks
+	// a Result waiting in a workspace's free list.
+	bitsBuf, payloadBuf []byte
+	released            bool
 }
 
 // Decoder errors.
@@ -494,14 +501,11 @@ func (d *Decoder) decodeClean(ws *Workspace, rx dsp.Signal, det Detection, backw
 		return nil, err
 	}
 	h := hm.h
-	exact := ownedFrame(d.frameBits(ws, rx, hm, det.End), frame.FrameBits(int(h.Len)), d.cfg.Modem.BitsPerSymbol(), backward)
-	res := &Result{Detection: det, Clean: true, Backward: backward, HeaderOK: true, WantedBits: exact}
+	res := ws.result()
+	res.Detection, res.Clean, res.Backward, res.HeaderOK = det, true, backward, true
 	res.Packet.Header = h
-	payload, err := frame.UnmarshalBody(h, exact)
-	if err == nil {
-		res.BodyOK = true
-		res.Packet.Payload = payload
-	}
+	res.setBits(ownedFrame(res.bitsBuf, d.frameBits(ws, rx, hm, det.End), frame.FrameBits(int(h.Len)), d.cfg.Modem.BitsPerSymbol(), backward))
+	res.parseBody(ws)
 	return res, nil
 }
 
@@ -611,12 +615,8 @@ func (d *Decoder) decodeInterfered(ws *Workspace, rx dsp.Signal, det Detection, 
 	wanted := m.DecideDiffsInto(ws.wanted, diffs[r0:], weights[r0:])
 	ws.wanted = wanted
 
-	res := &Result{
-		Detection:   det,
-		Backward:    backward,
-		KnownHeader: hdr,
-		Amplitudes:  est,
-	}
+	res := ws.result()
+	res.Detection, res.Backward, res.KnownHeader, res.Amplitudes = det, backward, hdr, est
 
 	// 6. Parse the wanted frame. In backward orientation the recovered
 	// stream is the true frame reversed; its mirrored tail presents
@@ -627,21 +627,32 @@ func (d *Decoder) decodeInterfered(ws *Workspace, rx dsp.Signal, det Detection, 
 		// Header unusable; with a configured fixed frame size the bit
 		// stream is still normalized for downstream error correction.
 		if d.cfg.FallbackFrameBits > 0 {
-			res.WantedBits = ownedFrame(wanted, d.cfg.FallbackFrameBits, m.BitsPerSymbol(), backward)
+			res.setBits(ownedFrame(res.bitsBuf, wanted, d.cfg.FallbackFrameBits, m.BitsPerSymbol(), backward))
 		} else {
-			res.WantedBits = append([]byte(nil), wanted...)
+			res.setBits(append(res.bitsBuf[:0], wanted...))
 		}
 		return res, nil
 	}
 	res.HeaderOK = true
 	res.Packet.Header = wh
-	exact := ownedFrame(wanted, frame.FrameBits(int(wh.Len)), m.BitsPerSymbol(), backward)
-	res.WantedBits = exact
-	if payload, err := frame.UnmarshalBody(wh, exact); err == nil {
+	res.setBits(ownedFrame(res.bitsBuf, wanted, frame.FrameBits(int(wh.Len)), m.BitsPerSymbol(), backward))
+	res.parseBody(ws)
+	return res, nil
+}
+
+// setBits makes bs the Result's WantedBits and keeps its storage.
+func (res *Result) setBits(bs []byte) { res.WantedBits, res.bitsBuf = bs, bs }
+
+// parseBody extracts the payload of the Result's header from its
+// WantedBits into the Result's own storage, dewhitening through the
+// workspace, and sets BodyOK and Packet.Payload when the CRC holds.
+func (res *Result) parseBody(ws *Workspace) {
+	payload, err := frame.UnmarshalBodyInto(res.payloadBuf, &ws.body, res.Packet.Header, res.WantedBits)
+	res.payloadBuf = payload
+	if err == nil {
 		res.BodyOK = true
 		res.Packet.Payload = payload
 	}
-	return res, nil
 }
 
 // reverseFloats reverses a float slice in place.
@@ -651,17 +662,20 @@ func reverseFloats(xs []float64) {
 	}
 }
 
-// ownedFrame copies a recovered bit stream into a fresh slice trimmed or
-// zero-padded to the frame length, flipping backward-oriented streams to
-// forward order. Trimming happens before the flip because the garbage is
-// at the decode-order tail. The flip reverses in symbol units: a
-// time-reversed signal hands a multi-bit modem its symbols in reverse
-// order, but each symbol still decodes to its bits in transmit order.
-// The copy is what lets Result.WantedBits outlive the decoder's reused
-// scratch buffers.
-func ownedFrame(stream []byte, frameBits, bitsPerSymbol int, backward bool) []byte {
-	exact := make([]byte, frameBits)
-	copy(exact, stream) // shorter streams leave zero padding in place
+// ownedFrame copies a recovered bit stream into dst's storage (grown only
+// when its capacity is below frameBits), trimmed or zero-padded to the
+// frame length, flipping backward-oriented streams to forward order.
+// Trimming happens before the flip because the garbage is at the
+// decode-order tail. The flip reverses in symbol units: a time-reversed
+// signal hands a multi-bit modem its symbols in reverse order, but each
+// symbol still decodes to its bits in transmit order. The copy is what
+// lets Result.WantedBits outlive the decoder's reused scratch buffers.
+func ownedFrame(dst, stream []byte, frameBits, bitsPerSymbol int, backward bool) []byte {
+	if cap(dst) < frameBits {
+		dst = make([]byte, frameBits)
+	}
+	exact := dst[:frameBits]
+	clear(exact[copy(exact, stream):]) // shorter streams are zero padded
 	if backward {
 		bits.ReverseGroupsInPlace(exact, bitsPerSymbol)
 	}

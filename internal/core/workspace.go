@@ -10,7 +10,10 @@ import "repro/internal/dsp"
 // estimator's magnitude scratch. With a Workspace attached (see
 // Decoder.SetWorkspace) a decoder performs no steady-state allocation per
 // reception beyond the Result it hands back — the discipline sim.Scratch
-// applies to reception synthesis, extended down the decode stack.
+// applies to reception synthesis, extended down the decode stack. A
+// caller done with a Result may Release it to the workspace; a later
+// decode through the workspace then reuses the Result and the storage of
+// its WantedBits and payload, and allocates nothing at all.
 //
 // The buffers whose size is the reception length itself — the detector
 // profiles and the decision-bit scratch — are carved from one
@@ -28,7 +31,7 @@ import "repro/internal/dsp"
 //
 // Everything a decode returns (Result, WantedBits, payloads) is copied out
 // of the workspace before returning, so results stay valid across later
-// decodes that reuse the same buffers.
+// decodes that reuse the same buffers — until the caller releases them.
 type Workspace struct {
 	modem    dsp.Scratch // modem-internal demod scratch (MLSE filter + back-pointers)
 	energy   []float64   // windowed energy profile
@@ -45,6 +48,10 @@ type Workspace struct {
 	wanted   []byte      // final symbol decisions before the owned copy
 	mag2     []float64   // |y|² scratch of the moment estimator
 	mags     []float64   // |y| scratch of the envelope estimator (sorted)
+	body     []byte      // dewhitened payload section of the wanted frame
+
+	// results holds released Results for later decodes to reuse.
+	results []*Result
 
 	// arena backs every buffer above except the modem scratch; batchCap
 	// is the reception length the current carving supports.
@@ -59,6 +66,35 @@ type Workspace struct {
 
 // NewWorkspace returns an empty workspace; buffers grow on first use.
 func NewWorkspace() *Workspace { return &Workspace{} }
+
+// Release hands res back for a later decode through ws to reuse, with the
+// storage of its WantedBits and Packet.Payload. The caller must not read
+// res, or slices it handed out, after releasing it. Releasing a nil
+// Result, or releasing to a nil workspace, does nothing; releasing a
+// Result again before a decode reuses it does nothing either, so one
+// Result never reaches two decodes. A caller that never releases keeps
+// every Result valid for good.
+func (ws *Workspace) Release(res *Result) {
+	if ws == nil || res == nil || res.released {
+		return
+	}
+	res.released = true
+	ws.results = append(ws.results, res)
+}
+
+// result returns a released Result reset for a new decode, keeping its
+// bit and payload storage, or a new Result when none was released.
+func (ws *Workspace) result() *Result {
+	n := len(ws.results)
+	if n == 0 {
+		return &Result{}
+	}
+	res := ws.results[n-1]
+	ws.results[n-1] = nil
+	ws.results = ws.results[:n-1]
+	*res = Result{bitsBuf: res.bitsBuf, payloadBuf: res.payloadBuf}
+	return res
+}
 
 // prepareBatch carves the reception-length buffers for receptions up to n
 // samples from the workspace arena: the detector's energy/variance

@@ -25,6 +25,7 @@ import (
 	"fmt"
 
 	"repro/internal/bits"
+	"repro/internal/dsp"
 )
 
 // Header field widths in bits.
@@ -190,6 +191,13 @@ func Marshal(p Packet) []byte { return MarshalFor(p, 1) }
 // would split symbols across the fold). Both shipped modems (1 and
 // 2 bits/symbol) and any power-of-two width up to 8 satisfy it.
 func MarshalFor(p Packet, bitsPerSymbol int) []byte {
+	return marshalInto(nil, p, bitsPerSymbol)
+}
+
+// marshalInto is MarshalFor writing into dst's storage, which grows only
+// when its capacity is below the frame length. Every bit of the frame is
+// written, so dst's old contents never show through.
+func marshalInto(dst []byte, p Packet, bitsPerSymbol int) []byte {
 	if int(p.Header.Len) != len(p.Payload) {
 		// Length disagreement is a construction bug, not a runtime
 		// condition; fail loudly.
@@ -199,7 +207,10 @@ func MarshalFor(p Packet, bitsPerSymbol int) []byte {
 		panic(fmt.Sprintf("frame: bits per symbol %d does not divide the %d-bit mirror region", bitsPerSymbol, MirrorBits))
 	}
 	n := len(p.Payload)
-	out := make([]byte, FrameBits(n))
+	if cap(dst) < FrameBits(n) {
+		dst = make([]byte, FrameBits(n))
+	}
+	out := dst[:FrameBits(n)]
 	copy(out, pilotForward)
 	hdr := out[bits.PilotLength:MirrorBits]
 	encodeHeaderInto(hdr, p.Header)
@@ -275,14 +286,29 @@ func ExtractBody(bs []byte, payloadBytes int) ([]byte, error) {
 // already-decoded header. ANC decoding recovers header and body in
 // separate steps; this entry point avoids re-parsing the header.
 func UnmarshalBody(h Header, bs []byte) ([]byte, error) {
+	var body []byte
+	payload, err := UnmarshalBodyInto(nil, &body, h, bs)
+	if err != nil {
+		return nil, err
+	}
+	return payload, nil
+}
+
+// UnmarshalBodyInto is UnmarshalBody writing the payload into dst's
+// storage, which grows only when its capacity is below h.Len bytes. The
+// payload section is dewhitened into *body, a scratch buffer grown as
+// needed and kept by the caller for the next call. On error it returns
+// dst[:0].
+func UnmarshalBodyInto(dst []byte, body *[]byte, h Header, bs []byte) ([]byte, error) {
 	bodyStart := bits.PilotLength + HeaderBits
 	bodyEnd := bodyStart + PayloadSectionBits(int(h.Len))
 	if bodyEnd > len(bs) {
-		return nil, ErrTooShort
+		return dst[:0], ErrTooShort
 	}
-	raw, ok := bits.CheckCRC16(bits.Whiten(bs[bodyStart:bodyEnd], bits.WhitenSeed))
+	*body = dsp.GrowBytes(*body, bodyEnd-bodyStart)
+	raw, ok := bits.CheckCRC16(bits.WhitenTo(*body, bs[bodyStart:bodyEnd], bits.WhitenSeed))
 	if !ok {
-		return nil, ErrBadCRC
+		return dst[:0], ErrBadCRC
 	}
-	return bits.ToBytes(raw)
+	return bits.ToBytesInto(dst, raw)
 }

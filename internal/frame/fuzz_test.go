@@ -1,6 +1,7 @@
 package frame
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/bits"
@@ -10,7 +11,10 @@ import (
 // its low bit, as the demodulators emit them) to the three frame decoders.
 // None may panic, and whatever one accepts must re-marshal to the bits it
 // read: an accepted header to the same header block, an accepted frame or
-// body to the same header and body bits.
+// body to the same header and body bits. The into-forms, writing into
+// dirty buffers as recycled storage is, must equal their allocating
+// forms: UnmarshalBodyInto on every stream, marshalInto on every accepted
+// packet at one and two bits per symbol.
 func FuzzFrameDecode(f *testing.F) {
 	for i, payload := range [][]byte{nil, {0x5a}, []byte("fuzz seed frame payload")} {
 		p := NewPacket(uint16(i), uint16(i+1), uint32(7*i), payload)
@@ -37,6 +41,15 @@ func FuzzFrameDecode(f *testing.F) {
 				t.Fatalf("accepted header %v re-encodes to other bits", h)
 			}
 		}
+		// marshalsIntoDirty checks marshalInto on dirty storage against
+		// MarshalFor at both shipped symbol widths.
+		marshalsIntoDirty := func(p Packet) {
+			for _, bps := range []int{1, 2} {
+				if !bytes.Equal(marshalInto(dirty(len(stream)), p, bps), MarshalFor(p, bps)) {
+					t.Fatalf("%v at %d bits/symbol: marshalInto on dirty storage differs from MarshalFor", p.Header, bps)
+				}
+			}
+		}
 		if p, err := Unmarshal(stream); err == nil {
 			if int(p.Header.Len) != len(p.Payload) {
 				t.Fatalf("accepted frame: header length %d, payload %d bytes", p.Header.Len, len(p.Payload))
@@ -44,16 +57,25 @@ func FuzzFrameDecode(f *testing.F) {
 			if !sameBits(Marshal(p), bits.PilotLength, MirrorBits+PayloadSectionBits(len(p.Payload))) {
 				t.Fatalf("accepted frame %v re-marshals to other header or body bits", p.Header)
 			}
+			marshalsIntoDirty(p)
 		}
 		h := Header{Len: bodyLen}
-		if payload, err := UnmarshalBody(h, stream); err == nil {
+		payload, err := UnmarshalBody(h, stream)
+		body := dirty(len(stream) / 3)
+		into, errInto := UnmarshalBodyInto(dirty(int(bodyLen)/2), &body, h, stream)
+		if (err == nil) != (errInto == nil) || err != nil && err.Error() != errInto.Error() || !bytes.Equal(into, payload) {
+			t.Fatalf("%d-byte body: UnmarshalBodyInto on dirty buffers gives %x, %v; UnmarshalBody %x, %v", bodyLen, into, errInto, payload, err)
+		}
+		if err == nil {
 			if len(payload) != int(bodyLen) {
 				t.Fatalf("accepted body: %d bytes, header says %d", len(payload), bodyLen)
 			}
 			h.Src, h.Dst, h.Seq = 1, 2, 3
-			if !sameBits(Marshal(Packet{Header: h, Payload: payload}), MirrorBits, MirrorBits+PayloadSectionBits(len(payload))) {
+			p := Packet{Header: h, Payload: payload}
+			if !sameBits(Marshal(p), MirrorBits, MirrorBits+PayloadSectionBits(len(payload))) {
 				t.Fatalf("accepted %d-byte body re-marshals to other bits", bodyLen)
 			}
+			marshalsIntoDirty(p)
 		}
 	})
 }

@@ -22,6 +22,9 @@ type Node struct {
 
 	buffer  *frame.SentBuffer
 	decoder *core.Decoder
+	// ws is the workspace SetWorkspace attached, which takes back the
+	// decode attempts Overhear discards (nil for a private workspace).
+	ws *core.Workspace
 	// lookup is the buffer's Get bound once at construction, so Receive
 	// and BatchItem never re-create the method-value closure.
 	lookup core.KnownLookup
@@ -51,9 +54,19 @@ func NewNode(id uint16, m core.PhyModem, noiseFloor float64, opts ...func(*core.
 // Reset clears the node's per-run state — the Sent Packet Buffer and the
 // sequence counter — so a pooled node starts its next run exactly like a
 // freshly built one. The decoder and its cached protocol constants are
-// run-independent and stay.
+// run-independent and stay. The buffer keeps its records' bit storage for
+// the next run's frames (frame.SentBuffer.Reset), so no record's Bits from
+// before the Reset may be read after it.
 func (n *Node) Reset() {
 	n.buffer.Reset()
+	n.seq = 0
+}
+
+// Shed is Reset without recycling: the buffer drops its records' bit
+// storage too (frame.SentBuffer.Shed), so an idle node holds no frame
+// bits.
+func (n *Node) Shed() {
+	n.buffer.Shed()
 	n.seq = 0
 }
 
@@ -63,19 +76,20 @@ func (n *Node) NextSeq() uint32 {
 	return n.seq
 }
 
-// MarshalFrame marshals a packet for the node's modem and stores the
-// sent record in the node's Sent Packet Buffer (§7.3). It does not
-// modulate: the returned record has nil Samples, so a caller that owns
-// sample buffers can modulate Bits into one with Modem.ModulateInto.
+// MarshalFrame marshals a packet for the node's modem straight into
+// storage its Sent Packet Buffer owns, and stores the sent record there
+// (§7.3). It does not modulate: the returned record has nil Samples, so a
+// caller that owns sample buffers can modulate Bits into one with
+// Modem.ModulateInto. The record's Bits stay valid until the node is
+// Reset, which recycles their storage for the next run's frames.
 func (n *Node) MarshalFrame(pkt frame.Packet) frame.SentRecord {
-	rec := frame.SentRecord{Packet: pkt, Bits: frame.MarshalFor(pkt, n.Modem.BitsPerSymbol())}
-	n.buffer.Put(rec)
-	return rec
+	return n.buffer.Marshal(pkt, n.Modem.BitsPerSymbol())
 }
 
 // BuildFrame is MarshalFrame followed by modulation into a new buffer.
 // The returned record carries the samples to transmit; the buffer keeps
-// only Packet and Bits (see frame.SentRecord).
+// only Packet and Bits (see frame.SentRecord). As with MarshalFrame, the
+// record's Bits stay valid until the node is Reset.
 func (n *Node) BuildFrame(pkt frame.Packet) frame.SentRecord {
 	rec := n.MarshalFrame(pkt)
 	rec.Samples = n.Modem.Modulate(rec.Bits)
@@ -84,7 +98,10 @@ func (n *Node) BuildFrame(pkt frame.Packet) frame.SentRecord {
 
 // Remember stores an externally obtained record (a forwarded packet in
 // the chain, an overheard packet in the "X" topology) so it can later
-// cancel interference. Like BuildFrame it stores Packet and Bits only.
+// cancel interference. Like BuildFrame it stores Packet and Bits only,
+// and it stores a copy of the bits, valid until the node is Reset: the
+// caller may reuse rec.Bits, and a record remembered by two nodes has
+// one copy in each.
 func (n *Node) Remember(rec frame.SentRecord) {
 	rec.Samples = nil
 	n.buffer.Put(rec)
@@ -94,7 +111,10 @@ func (n *Node) Remember(rec frame.SentRecord) {
 // many nodes (and runs) share one set of decode buffers. One workspace per
 // worker goroutine — sharing across goroutines races. A nil workspace
 // reverts to a private one.
-func (n *Node) SetWorkspace(ws *core.Workspace) { n.decoder.SetWorkspace(ws) }
+func (n *Node) SetWorkspace(ws *core.Workspace) {
+	n.ws = ws
+	n.decoder.SetWorkspace(ws)
+}
 
 // Knows reports whether the buffer holds the packet for a header.
 func (n *Node) Knows(h frame.Header) bool {
@@ -129,21 +149,37 @@ func (n *Node) BatchItem(rx dsp.Signal) core.BatchItem {
 //   - If the first-starting transmission in the window is not a target
 //     (or does not decode), the snoop retries on the time-reversed stream,
 //     which captures the last-ending transmission instead.
+//
+// The stored record holds the overheard header and bits, no payload: the
+// payload belongs to the returned Result, and cancellation reads only
+// the bits. A decode attempt Overhear does not return goes back to the
+// attached workspace (core.Workspace.Release).
 func (n *Node) Overhear(rx dsp.Signal) (*core.Result, error) {
 	res, err := n.decoder.TryClean(rx)
-	if err == nil && res.HeaderOK && res.Packet.Header.Dst != n.ID {
-		n.Remember(frame.SentRecord{Packet: res.Packet, Bits: res.WantedBits})
+	if err == nil && n.snoop(res) {
 		return res, nil
 	}
 	resBwd, errBwd := n.decoder.TryCleanBackward(rx)
-	if errBwd == nil && resBwd.HeaderOK && resBwd.Packet.Header.Dst != n.ID {
-		n.Remember(frame.SentRecord{Packet: resBwd.Packet, Bits: resBwd.WantedBits})
+	if errBwd == nil && n.snoop(resBwd) {
+		n.ws.Release(res)
 		return resBwd, nil
 	}
+	n.ws.Release(resBwd)
 	if err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// snoop remembers an overheard packet worth remembering — one whose
+// header decoded and that is not addressed to this node — and reports
+// whether it was.
+func (n *Node) snoop(res *core.Result) bool {
+	if !res.HeaderOK || res.Packet.Header.Dst == n.ID {
+		return false
+	}
+	n.Remember(frame.SentRecord{Packet: frame.Packet{Header: res.Packet.Header}, Bits: res.WantedBits})
+	return true
 }
 
 // RouterAction is the §7.5 decision.

@@ -125,6 +125,7 @@ func relayANC(e *Env, r Recorder, up uplinks) {
 // payload BER against the wanted frame, and charges goodput/loss.
 func (e *Env) accountANCDecode(r Recorder, n *radio.Node, rx dsp.Signal, wanted frame.SentRecord) {
 	res, err := n.Receive(rx)
+	e.scratch.releaseAtSlotEnd(res)
 	e.accountANCResult(r, res, err, wanted)
 }
 

@@ -32,10 +32,11 @@ func (e *Env) queueANCDecode(n *radio.Node, rx dsp.Signal, wanted frame.SentReco
 }
 
 // flushBatch decodes every queued reception, in queue order, and returns
-// the results (owned by the batch until finishBatch). The batched and
-// sequential paths are bit-identical — decodes consume no RNG and each
-// item runs the full Algorithm 1 against its own reception — which the
-// sequentialDecodes test hook verifies by forcing per-item Decode calls.
+// the results (owned by the batch until finishBatch; each Result lives
+// until the slot's step returns). The batched and sequential paths are
+// bit-identical — decodes consume no RNG and each item runs the full
+// Algorithm 1 against its own reception — which the sequentialDecodes
+// test hook verifies by forcing per-item Decode calls.
 func (e *Env) flushBatch() []core.BatchResult {
 	b := &e.scratch.batch
 	if e.scratch.sequentialDecodes {
@@ -47,9 +48,12 @@ func (e *Env) flushBatch() []core.BatchResult {
 			it := &b.items[i]
 			b.out[i].Result, b.out[i].Err = it.Decoder.Decode(it.Rx, it.Lookup)
 		}
-		return b.out
+	} else {
+		b.out = core.DecodeBatch(b.items, b.out)
 	}
-	b.out = core.DecodeBatch(b.items, b.out)
+	for i := range b.out {
+		e.scratch.releaseAtSlotEnd(b.out[i].Result)
+	}
 	return b.out
 }
 

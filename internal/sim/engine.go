@@ -27,8 +27,15 @@ import (
 // decode re-allocates its profile/∆φ/bit buffers. Each campaign worker
 // owns one Scratch and reuses it across every run it executes, so once
 // warmed the in-package scenarios allocate no sample or decode buffers.
-// Out-of-package scenarios, which transmit through Node.BuildFrame, still
-// allocate their frames' samples.
+//
+// Decode results live one slot too: every Result an in-package schedule
+// obtains is released to the workspace when the slot's step returns, so
+// the next slot's decodes reuse it, and the pooled nodes' Sent Packet
+// Buffers reuse their frame bits run after run (radio.Node.Reset). A
+// warmed worker therefore allocates no frame bits and no Results either.
+// Out-of-package scenarios, which transmit through Node.BuildFrame and
+// decode through Node.Receive, still allocate their frames' samples, and
+// their Results are never released.
 //
 // A Scratch is not safe for concurrent use; the Engine gives each worker
 // its own.
@@ -43,15 +50,28 @@ type Scratch struct {
 	frames     []slotFrame
 	freeFrames []dsp.Signal
 
+	// results are the decode results of the current slot, which endSlot
+	// releases to the workspace.
+	results []*core.Result
+
 	// batch is the slot decode burst (see slotBatch). sequentialDecodes
 	// forces the flush to call Decode per item instead of DecodeBatch —
 	// the hook the batched==sequential equivalence tests flip.
 	// poisonReleased overwrites every sample buffer with NaN as it returns
-	// to a free list — the hook that proves no schedule reads a frame or
-	// reception after releasing it.
+	// to a free list, and every released Result's WantedBits and payload,
+	// and the bits of the frames the engine built once the run's nodes
+	// recycle them, with 0xFF — the hook that proves no schedule reads a
+	// frame, reception or result after releasing it, and that recycled
+	// frame bits are overwritten before use. builtBits holds those frame
+	// bits until then. recycleNothing releases no Result and recycles no
+	// frame bits (the nodes shed their buffers instead of resetting them)
+	// — the reference the recycling is compared against. Node.Overhear
+	// still recycles the attempt it discards, which no caller sees.
 	batch             slotBatch
 	sequentialDecodes bool
 	poisonReleased    bool
+	builtBits         [][]byte
+	recycleNothing    bool
 
 	// Per-run construction pool (see newEnv): the run RNG is reseeded,
 	// pooled nodes are Reset, the noise source is rewound and the Env
@@ -210,8 +230,17 @@ func (s *Scratch) nodesFor(cfg Config, name string, modem phy.Modem, floor float
 		s.nodes = append(s.nodes, radio.NewNode(uint16(len(s.nodes)+1), modem, floor, opt))
 	}
 	nodes := s.nodes[:n]
+	for _, b := range s.builtBits {
+		poisonBytes(b)
+	}
+	clear(s.builtBits)
+	s.builtBits = s.builtBits[:0]
 	for _, nd := range nodes {
-		nd.Reset()
+		if s.recycleNothing {
+			nd.Shed()
+		} else {
+			nd.Reset()
+		}
 	}
 	return nodes
 }
@@ -282,6 +311,13 @@ func (s *Scratch) dead(b dsp.Signal) dsp.Signal {
 	return b
 }
 
+// poisonBytes overwrites b with 0xFF, which is no bit value.
+func poisonBytes(b []byte) {
+	for i := range b {
+		b[i] = 0xFF
+	}
+}
+
 // slotFrame is one frame transmitted in the current slot: its bits and
 // the samples modulated from them.
 type slotFrame struct {
@@ -319,28 +355,54 @@ func (s *Scratch) takeFrame(n int) dsp.Signal {
 	return make(dsp.Signal, n)
 }
 
-// shed drops the reception and frame buffers and the rotation tables, so
-// an idle Scratch keeps only its run-construction state (RNG, noise
-// source, modem, nodes and decoders, Env shell) and its decode workspace.
-// The package list of worker Scratches keeps a shed Scratch through the
-// gap between two ancserve jobs. Holding its sample buffers through that
-// gap raised serve-mixed's peak heap by about a fifth; the next campaign
-// rebuilds them in its first slots.
+// shed drops the reception and frame buffers, the rotation tables and the
+// nodes' frame bits, so an idle Scratch keeps only its run-construction
+// state (RNG, noise source, modem, nodes and decoders, Env shell) and its
+// decode workspace. The package list of worker Scratches keeps a shed
+// Scratch through the gap between two ancserve jobs. Holding its sample
+// buffers through that gap raised serve-mixed's peak heap by about a
+// fifth; the next campaign rebuilds them in its first slots.
 func (s *Scratch) shed() {
 	clear(s.free)
 	clear(s.freeFrames)
 	s.free, s.freeFrames = s.free[:0], s.freeFrames[:0]
 	s.rots, s.nrots = nil, 0
+	for _, nd := range s.nodes {
+		nd.Shed()
+	}
+	clear(s.builtBits)
+	s.builtBits = s.builtBits[:0]
 }
 
-// endSlot releases the slot's frames: their buffers return to the frame
-// free list and the next slot shares no samples with this one.
+// releaseAtSlotEnd hands a decode result of the current slot to endSlot,
+// which releases it to the workspace. A nil res is ignored.
+func (s *Scratch) releaseAtSlotEnd(res *core.Result) {
+	if res != nil {
+		s.results = append(s.results, res)
+	}
+}
+
+// endSlot releases the slot's frames and decode results: frame buffers
+// return to the frame free list, so the next slot shares no samples with
+// this one, and Results return to the workspace for the next slot's
+// decodes.
 func (s *Scratch) endSlot() {
 	for i := range s.frames {
 		s.freeFrames = append(s.freeFrames, s.dead(s.frames[i].samples))
 		s.frames[i] = slotFrame{}
 	}
 	s.frames = s.frames[:0]
+	for i, res := range s.results {
+		if s.poisonReleased {
+			poisonBytes(res.WantedBits)
+			poisonBytes(res.Packet.Payload)
+		}
+		if !s.recycleNothing {
+			s.Workspace().Release(res)
+		}
+		s.results[i] = nil
+	}
+	s.results = s.results[:0]
 }
 
 // Engine runs scenarios: it owns the shared machinery every workload

@@ -333,6 +333,9 @@ func (e *Env) receive(txs ...channel.Transmission) dsp.Signal {
 func (e *Env) buildFrame(n *radio.Node, pkt frame.Packet) frame.SentRecord {
 	rec := n.MarshalFrame(pkt)
 	rec.Samples = e.scratch.frameSamples(e.modem, rec.Bits)
+	if e.scratch.poisonReleased {
+		e.scratch.builtBits = append(e.scratch.builtBits, rec.Bits)
+	}
 	return rec
 }
 
@@ -389,8 +392,10 @@ func (e *Env) Receive(txs ...channel.Transmission) dsp.Signal { return e.receive
 func (e *Env) Release(sig dsp.Signal) { e.release(sig) }
 
 // CleanHop transmits a frame over one link and decodes it at the far end.
+// The payload is the scenario's to keep.
 func (e *Env) CleanHop(rec frame.SentRecord, from, to int) (ok bool, payload []byte) {
-	return e.cleanHop(rec, from, to)
+	ok, payload, _ = e.hop(rec, from, to)
+	return ok, payload
 }
 
 // AccountANCDecode decodes an interfered reception at a node and charges
@@ -445,18 +450,27 @@ func newEnvForTest(cfg Config, seed int64) *Env {
 }
 
 // cleanHop transmits a frame over one link and decodes it at the far end.
+// The payload lives until the slot's step returns (Scratch.endSlot).
 func (e *Env) cleanHop(rec frame.SentRecord, from, to int) (ok bool, payload []byte) {
+	ok, payload, res := e.hop(rec, from, to)
+	e.scratch.releaseAtSlotEnd(res)
+	return ok, payload
+}
+
+// hop is cleanHop that also returns the decode's Result (nil on a decode
+// error or an out-of-range link), whose payload the returned one is.
+func (e *Env) hop(rec frame.SentRecord, from, to int) (ok bool, payload []byte, res *core.Result) {
 	link, inRange := e.graph.Link(from, to)
 	if !inRange {
-		return false, nil
+		return false, nil, nil
 	}
 	rx := e.receive(channel.Transmission{Signal: rec.Samples, Link: link, Delay: cleanLead})
 	res, err := e.nodes[to].Receive(rx)
 	e.release(rx)
 	if err != nil || !res.BodyOK {
-		return false, nil
+		return false, nil, res
 	}
-	return true, res.Packet.Payload
+	return true, res.Packet.Payload, res
 }
 
 // WithDefaults returns the configuration with every zero field replaced

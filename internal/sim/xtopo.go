@@ -3,8 +3,11 @@ package sim
 import (
 	"repro/internal/channel"
 	"repro/internal/cope"
+	"repro/internal/core"
+	"repro/internal/dsp"
 	"repro/internal/frame"
 	"repro/internal/mac"
+	"repro/internal/radio"
 	"repro/internal/topology"
 )
 
@@ -77,8 +80,8 @@ func stepXANC(e *Env, r Recorder) {
 		channel.Transmission{Signal: rec3.Samples, Link: over34, Delay: d3},
 		channel.Transmission{Signal: rec1.Samples, Link: cross14, Delay: d1},
 	)
-	n2.Overhear(snoopN2)
-	n4.Overhear(snoopN4)
+	e.overhear(n2, snoopN2)
+	e.overhear(n4, snoopN4)
 	e.release(snoopN2)
 	e.release(snoopN4)
 
@@ -128,7 +131,7 @@ func stepXCOPE(e *Env, r Recorder) {
 	ok1, got1 := e.cleanHop(rec1, topology.X1, topology.XRouter)
 	over12, _ := e.graph.Link(topology.X1, topology.X2)
 	snoopRx2 := e.receive(channel.Transmission{Signal: rec1.Samples, Link: over12, Delay: cleanLead})
-	resSnoop2, errSnoop2 := n2.Overhear(snoopRx2)
+	resSnoop2, errSnoop2 := e.overhear(n2, snoopRx2)
 	e.release(snoopRx2)
 	snoop2OK := errSnoop2 == nil && resSnoop2.BodyOK
 
@@ -137,7 +140,7 @@ func stepXCOPE(e *Env, r Recorder) {
 	ok3, got3 := e.cleanHop(rec3, topology.X3, topology.XRouter)
 	over34, _ := e.graph.Link(topology.X3, topology.X4)
 	snoopRx4 := e.receive(channel.Transmission{Signal: rec3.Samples, Link: over34, Delay: cleanLead})
-	resSnoop4, errSnoop4 := n4.Overhear(snoopRx4)
+	resSnoop4, errSnoop4 := e.overhear(n4, snoopRx4)
 	e.release(snoopRx4)
 	snoop4OK := errSnoop4 == nil && resSnoop4.BodyOK
 
@@ -165,4 +168,12 @@ func stepXCOPE(e *Env, r Recorder) {
 	}
 	e.accountCOPEDecode(r, okTo2 && snoop2OK, codedAt2, coded.Header, known2, pkt3.Payload)
 	e.accountCOPEDecode(r, okTo4 && snoop4OK, codedAt4, coded.Header, known4, pkt1.Payload)
+}
+
+// overhear is n.Overhear with the Result living until the slot's step
+// returns (Scratch.endSlot).
+func (e *Env) overhear(n *radio.Node, rx dsp.Signal) (*core.Result, error) {
+	res, err := n.Overhear(rx)
+	e.scratch.releaseAtSlotEnd(res)
+	return res, err
 }
